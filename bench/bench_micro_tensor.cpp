@@ -16,8 +16,10 @@
 #include "nn/layers.hpp"
 #include "optim/optimizer.hpp"
 #include "tensor/conv.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/pack.hpp"
 #include "tensor/pool.hpp"
 
 namespace {
@@ -97,6 +99,61 @@ void BM_GemmRows(benchmark::State& state) {
   set_rates(state, gemm_flops(d, d, d), gemm_bytes(d, d, d));
 }
 BENCHMARK(BM_GemmRows)->Arg(256)->Arg(384)->Arg(512)->UseRealTime();
+
+// Serving's fc1 GEMM: [M, 3136] x [3136, 1024] with the fused bias+ReLU
+// epilogue, one thread. BM_GemmFc1Packed packs both operands per call
+// (what tensor::matmul_bias_relu does); BM_GemmPrepackedB takes the
+// weight pre-packed, as nn::FrozenModel's fc ops do with the panels
+// they pack at freeze time. The gap is the per-call weight packing cost.
+struct Fc1Operands {
+  static constexpr std::int64_t kK = 3136, kN = 1024;
+  explicit Fc1Operands(std::int64_t m)
+      : rng(9),
+        a(Tensor::randn(Shape({m, kK}), rng)),
+        b(Tensor::randn(Shape({kK, kN}), rng)),
+        bias(Tensor::randn(Shape({kN}), rng)),
+        c(Tensor::uninit(Shape({m, kN}))) {}
+  util::Rng rng;
+  Tensor a, b, bias, c;
+};
+
+void BM_GemmFc1Packed(benchmark::State& state) {
+  const auto m = state.range(0);
+  Fc1Operands op(m);
+  const Device dev = Device::cpu();
+  for (auto _ : state) {
+    tensor::gemm_packed(op.a.raw(), op.kK, 1, op.b.raw(), op.kN, 1,
+                        op.c.raw(), m, op.kK, op.kN,
+                        tensor::GemmEpilogue::kBiasColRelu, op.bias.raw(),
+                        dev);
+    benchmark::DoNotOptimize(op.c.raw());
+    benchmark::ClobberMemory();
+  }
+  const double d = static_cast<double>(m);
+  set_rates(state, gemm_flops(d, op.kK, op.kN), gemm_bytes(d, op.kK, op.kN));
+}
+BENCHMARK(BM_GemmFc1Packed)->Arg(1)->Arg(8)->UseRealTime();
+
+void BM_GemmPrepackedB(benchmark::State& state) {
+  const auto m = state.range(0);
+  Fc1Operands op(m);
+  const Device dev = Device::cpu();
+  std::vector<float> panels(static_cast<std::size_t>(
+      tensor::gemm_col_panels(op.kN) * tensor::kGemmNR * op.kK));
+  tensor::pack_b_panels(op.b.raw(), op.kN, 1, op.kK, op.kN, panels.data(),
+                        dev);
+  for (auto _ : state) {
+    tensor::gemm_prepacked_b(op.a.raw(), op.kK, 1, panels.data(), op.c.raw(),
+                             m, op.kK, op.kN,
+                             tensor::GemmEpilogue::kBiasColRelu,
+                             op.bias.raw(), dev);
+    benchmark::DoNotOptimize(op.c.raw());
+    benchmark::ClobberMemory();
+  }
+  const double d = static_cast<double>(m);
+  set_rates(state, gemm_flops(d, op.kK, op.kN), gemm_bytes(d, op.kK, op.kN));
+}
+BENCHMARK(BM_GemmPrepackedB)->Arg(1)->Arg(8)->UseRealTime();
 
 // Square A * B^T through the packed kernel (the backward-pass dgrad
 // shape: dx = dy * W^T with W stored [in, out] transposed access).

@@ -4,14 +4,35 @@
 
 #include "nn/conv_direct.hpp"
 #include "nn/layers.hpp"
+#include "runtime/trace.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/pack.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::nn {
 
 FrozenModel FrozenModel::freeze(const Sequential& model) {
   DLB_CHECK(model.size() > 0, "cannot freeze an empty model");
+  // fc weights are immutable from here on, so the packed tiers pack
+  // them into GEMM B panels once, straight from the layer's tensor, and
+  // keep only the panels. The scalar tier keeps a tensor copy for the
+  // legacy matmul kernels.
+  const auto freeze_fc = [](Op& op, const Tensor& weight, const Tensor& bias) {
+    op.fc_in = weight.dim(0);
+    op.fc_out = weight.dim(1);
+    op.bias = bias.clone();
+    if (!tensor::gemm_packed_active()) {
+      op.weight = weight.clone();
+      return;
+    }
+    auto panels = std::make_shared<std::vector<float>>(static_cast<std::size_t>(
+        tensor::gemm_col_panels(op.fc_out) * tensor::kGemmNR * op.fc_in));
+    tensor::pack_b_panels(weight.raw(), op.fc_out, 1, op.fc_in, op.fc_out,
+                          panels->data(), runtime::Device::cpu());
+    op.panels = std::move(panels);
+  };
   FrozenModel frozen;
   frozen.ops_.reserve(model.size());
   for (std::size_t i = 0; i < model.size(); ++i) {
@@ -30,12 +51,10 @@ FrozenModel FrozenModel::freeze(const Sequential& model) {
       op.bias = direct->bias().clone();
     } else if (const auto* fc = dynamic_cast<const Linear*>(&layer)) {
       op.kind = Op::Kind::kLinear;
-      op.weight = fc->weight().clone();
-      op.bias = fc->bias().clone();
+      freeze_fc(op, fc->weight(), fc->bias());
     } else if (const auto* fcr = dynamic_cast<const LinearReLU*>(&layer)) {
       op.kind = Op::Kind::kLinearRelu;
-      op.weight = fcr->weight().clone();
-      op.bias = fcr->bias().clone();
+      freeze_fc(op, fcr->weight(), fcr->bias());
     } else if (const auto* mp = dynamic_cast<const MaxPool2d*>(&layer)) {
       op.kind = Op::Kind::kMaxPool;
       op.pool = mp->geom();
@@ -84,6 +103,30 @@ FrozenModel FrozenModel::freeze(const Sequential& model) {
 Tensor FrozenModel::forward(const Tensor& x,
                             const runtime::Device& device) const {
   DLB_CHECK(!ops_.empty(), "empty frozen model");
+  // fc op: y = x·W + b [then ReLU]. With panels only the activation (A)
+  // is packed per call; the same panels feed the same macro loop as
+  // tensor::matmul_bias[_relu], so the bits are identical to it.
+  const auto fc = [&device](const Op& op, const Tensor& in) {
+    const bool relu = op.kind == Op::Kind::kLinearRelu;
+    if (!op.panels) {
+      return relu ? tensor::matmul_bias_relu(in, op.weight, op.bias, device)
+                  : tensor::matmul_bias(in, op.weight, op.bias, device);
+    }
+    runtime::trace::Span span(relu ? "matmul_bias_relu" : "matmul_bias",
+                              "kernel");
+    DLB_CHECK(in.shape().rank() == 2 && in.dim(1) == op.fc_in,
+              "fc " << op.fc_in << "->" << op.fc_out << ": input "
+                    << in.shape().to_string());
+    const std::int64_t m = in.dim(0);
+    Tensor out = Tensor::uninit(tensor::Shape({m, op.fc_out}));
+    tensor::gemm_prepacked_b(
+        in.raw(), op.fc_in, 1, op.panels->data(), out.raw(), m, op.fc_in,
+        op.fc_out,
+        relu ? tensor::GemmEpilogue::kBiasColRelu
+             : tensor::GemmEpilogue::kBiasColAdd,
+        op.bias.raw(), device);
+    return out;
+  };
   Tensor h = x;
   // Elementwise ops run in place once `h` is an intermediate this call
   // produced (and so uniquely owns); the caller's input — and anything
@@ -105,11 +148,8 @@ Tensor FrozenModel::forward(const Tensor& x,
         owned = true;
         break;
       case Op::Kind::kLinear:
-        h = tensor::matmul_bias(h, op.weight, op.bias, device);
-        owned = true;
-        break;
       case Op::Kind::kLinearRelu:
-        h = tensor::matmul_bias_relu(h, op.weight, op.bias, device);
+        h = fc(op, h);
         owned = true;
         break;
       case Op::Kind::kMaxPool: {
@@ -164,8 +204,19 @@ std::vector<std::int64_t> FrozenModel::predict(
 
 std::int64_t FrozenModel::num_params() const {
   std::int64_t n = 0;
-  for (const Op& op : ops_) n += op.weight.numel() + op.bias.numel();
+  for (const Op& op : ops_) {
+    const bool fc =
+        op.kind == Op::Kind::kLinear || op.kind == Op::Kind::kLinearRelu;
+    n += (fc ? op.fc_in * op.fc_out : op.weight.numel()) + op.bias.numel();
+  }
   return n;
+}
+
+std::vector<const float*> FrozenModel::fc_panels() const {
+  std::vector<const float*> out;
+  for (const Op& op : ops_)
+    if (op.panels) out.push_back(op.panels->data());
+  return out;
 }
 
 std::string FrozenModel::describe() const {
@@ -187,10 +238,10 @@ std::string FrozenModel::describe() const {
            << op.conv.in_c << "->" << op.conv.out_c;
         break;
       case Op::Kind::kLinear:
-        os << "fc " << op.weight.dim(0) << "->" << op.weight.dim(1);
+        os << "fc " << op.fc_in << "->" << op.fc_out;
         break;
       case Op::Kind::kLinearRelu:
-        os << "fc+relu " << op.weight.dim(0) << "->" << op.weight.dim(1);
+        os << "fc+relu " << op.fc_in << "->" << op.fc_out;
         break;
       case Op::Kind::kMaxPool:
         os << "maxpool" << op.pool.window << "x" << op.pool.window;

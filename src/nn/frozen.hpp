@@ -7,11 +7,13 @@
 // share one. Serving needs the opposite contract — many threads running
 // forward passes over one set of weights — so freeze() snapshots a
 // Sequential into a FrozenModel: a flat list of stateless inference ops
-// over deep-copied parameter tensors that are never written again.
+// over parameter copies that are never written again. On the packed
+// SIMD tiers each fc weight is stored only as GEMM B panels, packed
+// once at freeze time, so a forward packs just the activations.
 // forward() is const, allocates all scratch per call, and is therefore
 // safe to run concurrently from any number of threads. Copying a
-// FrozenModel copies tensor handles, not buffers, so server replicas
-// share one set of weights (safe precisely because they are immutable).
+// FrozenModel copies handles, not buffers, so server replicas share one
+// set of weights (safe precisely because they are immutable).
 //
 // Inference semantics match Sequential::forward with training=false:
 // Dropout is the identity (inverted dropout) and is dropped at freeze
@@ -19,6 +21,7 @@
 // eval-mode forward on the same inputs and device.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +36,10 @@ class FrozenModel {
  public:
   FrozenModel() = default;
 
-  /// Deep-copies every parameter of `model` into an immutable op list.
+  /// Copies every parameter of `model` into an immutable op list: conv
+  /// weights and biases as tensors, fc weights as packed B panels
+  /// (tensor::gemm_prepacked_b) — or as tensors on the scalar tier,
+  /// which keeps the legacy matmul path.
   /// Throws on layer kinds with no inference lowering (none exist in
   /// this codebase today). A peephole pass fuses each Linear or Conv2d
   /// op whose successor is a ReLU into one kLinearRelu / kConvRelu op
@@ -58,6 +64,11 @@ class FrozenModel {
   std::int64_t num_params() const;
   std::string describe() const;
 
+  /// Base address of each fc op's packed weight panels, in op order;
+  /// empty on the scalar tier. Copies of one model return the same
+  /// addresses: replicas share one set of panels.
+  std::vector<const float*> fc_panels() const;
+
  private:
   struct Op {
     enum class Kind {
@@ -74,7 +85,11 @@ class FrozenModel {
       kFlatten,
     };
     Kind kind;
-    Tensor weight, bias;  // conv/linear; deep copies, never mutated
+    // Copies, never mutated. fc ops leave `weight` empty when `panels`
+    // holds their [fc_in, fc_out] weight packed for the GEMM kernel.
+    Tensor weight, bias;
+    std::shared_ptr<const std::vector<float>> panels;
+    std::int64_t fc_in = 0, fc_out = 0;
     tensor::ConvGeom conv;
     tensor::PoolGeom pool;
     std::int64_t lrn_radius = 0;

@@ -8,34 +8,62 @@
 
 #include "runtime/trace.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/pack.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::tensor {
 
 using runtime::Device;
 
+namespace {
+
+// Output columns [lo, hi) whose input column ix = x*stride + kx - pad
+// lies inside the image for kernel column kx; lo == hi when none does.
+struct XRun {
+  std::int64_t lo, hi;
+};
+
+XRun valid_x_run(const ConvGeom& g, std::int64_t kx, std::int64_t ow) {
+  const std::int64_t shift = g.pad - kx;  // ix = x*stride - shift
+  const std::int64_t lo =
+      std::min(ow, shift > 0 ? (shift + g.stride - 1) / g.stride : 0);
+  const std::int64_t last = g.in_w - 1 + shift;  // largest valid x*stride
+  const std::int64_t hi = last < 0 ? 0 : std::min(ow, last / g.stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
 void im2col(const float* image, const ConvGeom& g, float* columns) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t ohw = oh * ow;
-  // columns is [in_c * k * k, oh * ow], row-major.
+  // columns is [in_c * k * k, oh * ow], row-major. Per kernel column the
+  // valid output range is hoisted: copy the in-image run, zero the edges.
   for (std::int64_t c = 0; c < g.in_c; ++c) {
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
       for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
         const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
         float* out_row = columns + row * ohw;
+        const XRun run = valid_x_run(g, kx, ow);
         for (std::int64_t y = 0; y < oh; ++y) {
+          float* out = out_row + y * ow;
           const std::int64_t iy = y * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) {
-            std::memset(out_row + y * ow, 0,
-                        static_cast<std::size_t>(ow) * sizeof(float));
+          if (iy < 0 || iy >= g.in_h || run.lo == run.hi) {
+            std::fill(out, out + ow, 0.f);
             continue;
           }
-          const float* in_row = image + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kx - g.pad;
-            out_row[y * ow + x] =
-                (ix >= 0 && ix < g.in_w) ? in_row[ix] : 0.f;
+          const float* in = image + (c * g.in_h + iy) * g.in_w +
+                            run.lo * g.stride + kx - g.pad;
+          std::fill(out, out + run.lo, 0.f);
+          if (g.stride == 1) {
+            std::memcpy(out + run.lo, in,
+                        static_cast<std::size_t>(run.hi - run.lo) *
+                            sizeof(float));
+          } else {
+            for (std::int64_t x = run.lo; x < run.hi; ++x)
+              out[x] = in[(x - run.lo) * g.stride];
           }
+          std::fill(out + run.hi, out + ow, 0.f);
         }
       }
     }
@@ -48,18 +76,27 @@ void col2im(const float* columns, const ConvGeom& g, float* image) {
   std::memset(image, 0,
               static_cast<std::size_t>(g.in_c * g.in_h * g.in_w) *
                   sizeof(float));
+  // Same (c, ky, kx, y, x) order as a per-element loop, and within a run
+  // every x hits a distinct ix, so each image element receives its
+  // additions in the same order: the runs do not change the bits.
   for (std::int64_t c = 0; c < g.in_c; ++c) {
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
       for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
         const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
         const float* in_row = columns + row * ohw;
+        const XRun run = valid_x_run(g, kx, ow);
+        if (run.lo == run.hi) continue;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + ky - g.pad;
           if (iy < 0 || iy >= g.in_h) continue;
-          float* img_row = image + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kx - g.pad;
-            if (ix >= 0 && ix < g.in_w) img_row[ix] += in_row[y * ow + x];
+          float* img = image + (c * g.in_h + iy) * g.in_w +
+                       run.lo * g.stride + kx - g.pad;
+          const float* src = in_row + y * ow + run.lo;
+          const std::int64_t len = run.hi - run.lo;
+          if (g.stride == 1) {
+            for (std::int64_t x = 0; x < len; ++x) img[x] += src[x];
+          } else {
+            for (std::int64_t x = 0; x < len; ++x) img[x * g.stride] += src[x];
           }
         }
       }
@@ -177,6 +214,15 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   const GemmEpilogue epi =
       fuse_relu ? GemmEpilogue::kBiasRowRelu : GemmEpilogue::kBiasRowInit;
   const Device serial = Device::cpu();
+  // W is the A operand of every sample's GEMM: pack it once, on the
+  // owner thread (arena-backed under a plan); workers only read it.
+  Tensor w_panels;
+  if (packed) {
+    w_panels =
+        Tensor::uninit(Shape({gemm_row_panels(g.out_c) * patch * kGemmMR}));
+    pack_a_panels(pw, patch, 1, g.out_c, patch, w_panels.raw(), dev);
+  }
+  const float* pw_packed = w_panels.raw();
 
   // Legacy tier's fused ReLU: one in-cache sweep over a sample's just-
   // computed output region.
@@ -205,8 +251,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
             im2col(px + static_cast<std::int64_t>(i) * in_sz, g, columns);
             float* out = py + static_cast<std::int64_t>(i) * out_sz;
             if (packed) {
-              gemm_packed(pw, patch, 1, columns, ohw, 1, out, g.out_c,
-                          patch, ohw, epi, pb, serial);
+              gemm_prepacked_a(pw_packed, columns, ohw, 1, out, g.out_c,
+                               patch, ohw, epi, pb, serial);
             } else {
               gemm_sample(columns, out, 0, g.out_c);
               if (fuse_relu) relu_region(out, out_sz);
@@ -228,8 +274,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
     im2col(px + i * in_sz, g, columns);
     float* out = py + i * out_sz;
     if (packed) {
-      gemm_packed(pw, patch, 1, columns, ohw, 1, out, g.out_c, patch, ohw,
-                  epi, pb, dev);
+      gemm_prepacked_a(pw_packed, columns, ohw, 1, out, g.out_c, patch, ohw,
+                       epi, pb, dev);
       continue;
     }
     dev.parallel_for(
@@ -295,6 +341,15 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
     owner_dcols = Tensor::uninit(Shape({patch * ohw}));
     if (packed) owner_dw = Tensor::uninit(Shape({g.out_c * patch}));
   }
+  // Wᵀ is the A operand of every sample's dcolumns GEMM: packed once on
+  // the owner thread, as in conv2d_forward.
+  Tensor wt_panels;
+  if (packed) {
+    wt_panels =
+        Tensor::uninit(Shape({gemm_row_panels(patch) * g.out_c * kGemmMR}));
+    pack_a_panels(pw, 1, patch, patch, g.out_c, wt_panels.raw(), dev);
+  }
+  const float* pwt_packed = wt_panels.raw();
 
   // Per-chunk weight/bias partials, merged serially in chunk order after
   // the parallel region: float accumulation order is then a function of
@@ -337,8 +392,9 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
                         patch, GemmEpilogue::kNone, nullptr, serial);
             for (std::size_t k = 0; k < dw_floats; ++k)
               local_dw[k] += dw_s[k];
-            gemm_packed(pw, 1, patch, dyo, ohw, 1, dcolumns, patch,
-                        g.out_c, ohw, GemmEpilogue::kNone, nullptr, serial);
+            gemm_prepacked_a(pwt_packed, dyo, ohw, 1, dcolumns, patch,
+                             g.out_c, ohw, GemmEpilogue::kNone, nullptr,
+                             serial);
             col2im(dcolumns, g, pdx + static_cast<std::int64_t>(i) * in_sz);
             continue;
           }

@@ -100,38 +100,44 @@ namespace {
 // (K * 512 floats) to L2/L3 instead of the whole matrix.
 constexpr std::int64_t kMacroColPanels = 32;
 
-}  // namespace
+// Grow-only packing scratch per calling thread: the training loop calls
+// GEMM thousands of times from one thread, and serve replicas each get
+// their own buffers. A and B are separate so a caller that holds one
+// operand pre-packed never grows the other's buffer.
+float* scratch_a(std::int64_t m, std::int64_t k) {
+  thread_local std::vector<float> pa;
+  const auto need = static_cast<std::size_t>(gemm_row_panels(m) * kGemmMR * k);
+  if (pa.size() < need) pa.resize(need);
+  return pa.data();
+}
 
-void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                 const float* b, std::int64_t b_rs, std::int64_t b_cs,
-                 float* c, std::int64_t m, std::int64_t k, std::int64_t n,
-                 GemmEpilogue epilogue, const float* bias,
-                 const Device& dev, GemmMath math) {
+float* scratch_b(std::int64_t k, std::int64_t n) {
+  thread_local std::vector<float> pb;
+  const auto need = static_cast<std::size_t>(gemm_col_panels(n) * kGemmNR * k);
+  if (pb.size() < need) pb.resize(need);
+  return pb.data();
+}
+
+void check_dims(std::int64_t m, std::int64_t k, std::int64_t n) {
   DLB_CHECK(m > 0 && k > 0 && n > 0, "gemm_packed: empty dimensions");
-  // No trace span here: every caller (matmul*, conv2d_forward) already
-  // opens a kernel-category span, and a nested one would double-count
-  // the category total (see TraceTest.KernelSpansRecordedFromMatmul).
+}
 
+// The macro loop over already-packed panels, shared by every entry
+// point. No trace span here: every caller (matmul*, conv2d_*, the
+// frozen fc op) already opens a kernel-category span, and a nested one
+// would double-count the category total (see
+// TraceTest.KernelSpansRecordedFromMatmul).
+void gemm_macro(const float* pa_data, const float* pb_data, float* c,
+                std::int64_t m, std::int64_t k, std::int64_t n,
+                GemmEpilogue epilogue, const float* bias, const Device& dev,
+                GemmMath math) {
   const std::int64_t n_mp = gemm_row_panels(m);
   const std::int64_t n_np = gemm_col_panels(n);
-
-  // Grow-only scratch per calling thread: the training loop calls this
-  // thousands of times from one thread, and serve replicas each get
-  // their own buffers.
-  thread_local std::vector<float> pa, pb;
-  const std::size_t a_need = static_cast<std::size_t>(n_mp * kGemmMR * k);
-  const std::size_t b_need = static_cast<std::size_t>(n_np * kGemmNR * k);
-  if (pa.size() < a_need) pa.resize(a_need);
-  if (pb.size() < b_need) pb.resize(b_need);
-  pack_a_panels(a, a_rs, a_cs, m, k, pa.data(), dev);
-  pack_b_panels(b, b_rs, b_cs, k, n, pb.data(), dev);
 
   const detail::SelectedKernels kernels = detail::select_micro_kernel(math);
   const detail::MicroKernelFn micro = kernels.single;
   const detail::MicroKernelFn micro_x2 = kernels.x2;
   const detail::MicroKernelFn micro_2x2 = kernels.quad;
-  const float* pa_data = pa.data();
-  const float* pb_data = pb.data();
 
   const bool row_bias = epilogue == GemmEpilogue::kBiasRowInit ||
                         epilogue == GemmEpilogue::kBiasRowRelu;
@@ -260,6 +266,41 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
         }
       },
       1);
+}
+
+}  // namespace
+
+void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                 const float* b, std::int64_t b_rs, std::int64_t b_cs,
+                 float* c, std::int64_t m, std::int64_t k, std::int64_t n,
+                 GemmEpilogue epilogue, const float* bias,
+                 const Device& dev, GemmMath math) {
+  check_dims(m, k, n);
+  float* pa = scratch_a(m, k);
+  float* pb = scratch_b(k, n);
+  pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
+  pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
+  gemm_macro(pa, pb, c, m, k, n, epilogue, bias, dev, math);
+}
+
+void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
+                      std::int64_t b_cs, float* c, std::int64_t m,
+                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
+                      const float* bias, const Device& dev, GemmMath math) {
+  check_dims(m, k, n);
+  float* pb = scratch_b(k, n);
+  pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
+  gemm_macro(a_panels, pb, c, m, k, n, epilogue, bias, dev, math);
+}
+
+void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
+                      const float* b_panels, float* c, std::int64_t m,
+                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
+                      const float* bias, const Device& dev, GemmMath math) {
+  check_dims(m, k, n);
+  float* pa = scratch_a(m, k);
+  pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
+  gemm_macro(pa, b_panels, c, m, k, n, epilogue, bias, dev, math);
 }
 
 }  // namespace dlbench::tensor

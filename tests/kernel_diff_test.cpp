@@ -1,11 +1,13 @@
 // Differential kernel tests: the blocked/parallel GEMM family against a
 // naive double-accumulation triple loop, and the im2col convolution
 // against the direct reference implementation, each across a large set
-// of randomized shapes; plus determinism checks (serial vs threaded,
-// and run-to-run under threads).
+// of randomized shapes; im2col/col2im against per-element oracles; the
+// pre-packed GEMM entry points against gemm_packed; plus determinism
+// checks (serial vs threaded, and run-to-run under threads).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -316,6 +318,84 @@ TEST(KernelDiffTest, ConvWeightGradsAreRunToRunDeterministicUnderThreads) {
   }
 }
 
+// Per-element im2col/col2im oracles: a bounds test on every (row, y, x).
+// col2im keeps the (c, ky, kx, y, x) accumulation order, so the row-run
+// implementations must match both bit for bit.
+void naive_im2col(const float* image, const ConvGeom& g, float* columns) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  for (std::int64_t c = 0; c < g.in_c; ++c)
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky)
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+            const std::int64_t iy = y * g.stride + ky - g.pad;
+            const std::int64_t ix = x * g.stride + kx - g.pad;
+            const bool inside =
+                iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            columns[(row * oh + y) * ow + x] =
+                inside ? image[(c * g.in_h + iy) * g.in_w + ix] : 0.f;
+          }
+}
+
+void naive_col2im(const float* columns, const ConvGeom& g, float* image) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  std::fill(image, image + g.in_c * g.in_h * g.in_w, 0.f);
+  for (std::int64_t c = 0; c < g.in_c; ++c)
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky)
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+            const std::int64_t iy = y * g.stride + ky - g.pad;
+            const std::int64_t ix = x * g.stride + kx - g.pad;
+            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
+              image[(c * g.in_h + iy) * g.in_w + ix] +=
+                  columns[(row * oh + y) * ow + x];
+          }
+}
+
+TEST(KernelDiffTest, Im2colCol2imRowRunsMatchPerElementOracle) {
+  util::Rng rng(1414);
+  // Hand-picked: kernels wider than the unpadded input, so some kernel
+  // columns have no in-image output at all.
+  std::vector<ConvGeom> geoms = {
+      {2, 1, 1, 1, 3, 1, 1}, {1, 2, 3, 1, 5, 1, 2}, {1, 3, 2, 1, 5, 2, 2},
+      {3, 4, 1, 1, 4, 2, 2}, {1, 1, 4, 1, 3, 2, 1}};
+  while (geoms.size() < 60) {
+    ConvGeom g;
+    g.in_c = 1 + static_cast<std::int64_t>(rng.uniform_index(3));
+    g.in_h = 1 + static_cast<std::int64_t>(rng.uniform_index(9));
+    g.in_w = 1 + static_cast<std::int64_t>(rng.uniform_index(9));
+    g.out_c = 1;
+    g.kernel = 1 + static_cast<std::int64_t>(rng.uniform_index(5));
+    g.stride = 1 + static_cast<std::int64_t>(rng.uniform_index(2));
+    g.pad = static_cast<std::int64_t>(rng.uniform_index(3));
+    if (g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel)
+      geoms.push_back(g);
+  }
+  for (const ConvGeom& g : geoms) {
+    const std::string what =
+        "conv c" + std::to_string(g.in_c) + " hw" + std::to_string(g.in_h) +
+        "x" + std::to_string(g.in_w) + " k" + std::to_string(g.kernel) +
+        " s" + std::to_string(g.stride) + " p" + std::to_string(g.pad);
+    const Tensor image = Tensor::randn(Shape({g.in_c, g.in_h, g.in_w}), rng);
+    const Shape col_shape({g.patch_size(), g.out_h() * g.out_w()});
+    Tensor want_cols(col_shape), got_cols(col_shape);
+    naive_im2col(image.raw(), g, want_cols.raw());
+    got_cols.fill(-1.f);  // every element must be written
+    im2col(image.raw(), g, got_cols.raw());
+    expect_bitwise_equal(got_cols, want_cols, what + " im2col");
+
+    const Tensor cols = Tensor::randn(col_shape, rng);
+    Tensor want_img(image.shape()), got_img(image.shape());
+    naive_col2im(cols.raw(), g, want_img.raw());
+    got_img.fill(-1.f);
+    col2im(cols.raw(), g, got_img.raw());
+    expect_bitwise_equal(got_img, want_img, what + " col2im");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Packed-GEMM layer (gemm_kernel.hpp): parity with the legacy row
 // kernel, direct driver coverage of strides / epilogues / both GemmMath
@@ -430,6 +510,59 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
               expect_close(got, want, 1e-3, what + ac.tag + bc.tag);
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// The pre-packed entry points run the same macro loop over the same
+// panels as gemm_packed, so they must match it bit for bit: every edge
+// shape, every epilogue, both roundings, 1/2/4 threads.
+TEST(KernelDiffTest, PrepackedEntryPointsBitwiseMatchGemmPacked) {
+  util::Rng rng(1313);
+  const GemmEpilogue eps[] = {
+      GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
+      GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
+      GemmEpilogue::kBiasRowRelu};
+  for (const MatDims& d : kEdgeDims) {
+    Tensor a = Tensor::randn(Shape({d.m, d.k}), rng);
+    Tensor b = Tensor::randn(Shape({d.k, d.n}), rng);
+    Tensor bias_col = Tensor::randn(Shape({d.n}), rng);
+    Tensor bias_row = Tensor::randn(Shape({d.m}), rng);
+    std::vector<float> pa(static_cast<std::size_t>(gemm_row_panels(d.m) *
+                                                   kGemmMR * d.k));
+    std::vector<float> pb(static_cast<std::size_t>(gemm_col_panels(d.n) *
+                                                   kGemmNR * d.k));
+    pack_a_panels(a.raw(), d.k, 1, d.m, d.k, pa.data(), Device::cpu());
+    pack_b_panels(b.raw(), d.n, 1, d.k, d.n, pb.data(), Device::cpu());
+    for (const GemmEpilogue ep : eps) {
+      const bool row = ep == GemmEpilogue::kBiasRowInit ||
+                       ep == GemmEpilogue::kBiasRowRelu;
+      const float* bias = ep == GemmEpilogue::kNone
+                              ? nullptr
+                              : (row ? bias_row.raw() : bias_col.raw());
+      for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
+        for (const int threads : {1, 2, 4}) {
+          const Device dev =
+              threads == 1 ? Device::cpu() : Device::parallel(threads);
+          const std::string what =
+              std::to_string(d.m) + "x" + std::to_string(d.k) + "x" +
+              std::to_string(d.n) + " ep=" +
+              std::to_string(static_cast<int>(ep)) +
+              " math=" + std::to_string(static_cast<int>(math)) +
+              " threads=" + std::to_string(threads);
+          Tensor want = Tensor::uninit(Shape({d.m, d.n}));
+          Tensor got_a = Tensor::uninit(Shape({d.m, d.n}));
+          Tensor got_b = Tensor::uninit(Shape({d.m, d.n}));
+          gemm_packed(a.raw(), d.k, 1, b.raw(), d.n, 1, want.raw(), d.m, d.k,
+                      d.n, ep, bias, dev, math);
+          gemm_prepacked_a(pa.data(), b.raw(), d.n, 1, got_a.raw(), d.m, d.k,
+                           d.n, ep, bias, dev, math);
+          gemm_prepacked_b(a.raw(), d.k, 1, pb.data(), got_b.raw(), d.m, d.k,
+                           d.n, ep, bias, dev, math);
+          expect_bitwise_equal(got_a, want, what + " prepacked A");
+          expect_bitwise_equal(got_b, want, what + " prepacked B");
         }
       }
     }

@@ -1,8 +1,9 @@
 // Execution-plan compiler tests (DESIGN.md §15): lifetime packing,
 // measure/replay arenas, StepPlanner lifecycle + spill fallback,
 // plan-vs-heap bitwise training parity, zero-allocation steady-state
-// steps (train and serve), frozen-graph conv+relu fusion, and the
-// DataLoader batch-buffer reuse that keeps the data phase off the heap.
+// steps (train and serve), frozen-graph conv+relu fusion and fc weight
+// panels, and the DataLoader batch-buffer reuse that keeps the data
+// phase off the heap.
 
 #include "nn/plan.hpp"
 
@@ -21,6 +22,7 @@
 #include "runtime/trace.hpp"
 #include "serve/server.hpp"
 #include "tensor/arena.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -410,30 +412,40 @@ TEST(PlanZeroAlloc, ServeSteadyStateReplaysWithoutSpills) {
 
 class FrozenFusionTest : public ::testing::TestWithParam<FrameworkKind> {};
 
+// Fusion and the freeze-time fc weight panels must leave every output
+// bit unchanged. Batch sizes straddle the 6-row panel height: below it
+// (1, 5), equal (6), and two panels with an edge (8, 13).
 TEST_P(FrozenFusionTest, FusedFrozenForwardMatchesEvalForwardBitwise) {
   const FrameworkKind kind = GetParam();
   auto fw = make_framework(kind);
-  dlbench::util::Rng rng(5);
-  const Device dev = Device::gpu();
-  dlbench::nn::Sequential model =
-      fw->build_model(default_network_spec(kind, DatasetId::kMnist), dev,
-                      rng);
-  const auto frozen = dlbench::nn::FrozenModel::freeze(model);
-
-  dlbench::util::Rng data_rng(6);
-  const Tensor x =
-      Tensor::randn({5, 1, 28, 28}, data_rng);
-  dlbench::nn::Context ctx;
-  ctx.device = dev;
-  ctx.training = false;
-  dlbench::nn::Sequential& mutable_model = model;
-  const Tensor reference = mutable_model.forward(x, ctx);
-  const Tensor fused = frozen.forward(x, dev);
-  ASSERT_EQ(reference.numel(), fused.numel());
-  EXPECT_EQ(0, std::memcmp(reference.raw(), fused.raw(),
-                           static_cast<std::size_t>(reference.numel()) *
-                               sizeof(float)))
-      << frozen.describe();
+  for (const DatasetId dataset : {DatasetId::kMnist, DatasetId::kCifar10}) {
+    const auto sample = dlbench::frameworks::sample_shape(dataset);
+    // The build device picks Torch's conv kernel (direct on cpu, GEMM
+    // on a parallel device), so each device gets its own model.
+    for (const Device& dev : {Device::cpu(), Device::parallel(2)}) {
+      dlbench::util::Rng rng(5);
+      dlbench::nn::Sequential model =
+          fw->build_model(default_network_spec(kind, dataset), dev, rng);
+      const auto frozen = dlbench::nn::FrozenModel::freeze(model);
+      dlbench::nn::Context ctx;
+      ctx.device = dev;
+      ctx.training = false;
+      for (const std::int64_t batch : {1, 5, 6, 8, 13}) {
+        dlbench::util::Rng data_rng(6 + batch);
+        const Tensor x = Tensor::randn(
+            {batch, sample.dim(0), sample.dim(1), sample.dim(2)}, data_rng);
+        const Tensor reference = model.forward(x, ctx);
+        const Tensor fused = frozen.forward(x, dev);
+        ASSERT_EQ(reference.numel(), fused.numel());
+        EXPECT_EQ(0, std::memcmp(reference.raw(), fused.raw(),
+                                 static_cast<std::size_t>(reference.numel()) *
+                                     sizeof(float)))
+            << to_string(dataset) << " batch " << batch
+            << (dev.is_parallel() ? " parallel(2)\n" : " cpu\n")
+            << frozen.describe();
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFrameworks, FrozenFusionTest,
@@ -454,6 +466,62 @@ TEST(FrozenFusion, ConvReluPeepholeFiresOnConvModels) {
   const auto frozen = dlbench::nn::FrozenModel::freeze(model);
   EXPECT_NE(frozen.describe().find("conv+relu"), std::string::npos)
       << frozen.describe();
+}
+
+TEST(FrozenFusion, CopiesShareOneSetOfFcPanels) {
+  auto fw = make_framework(FrameworkKind::kTensorFlow);
+  dlbench::util::Rng rng(5);
+  dlbench::nn::Sequential model =
+      fw->build_model(default_network_spec(FrameworkKind::kTensorFlow,
+                                           DatasetId::kMnist),
+                      Device::cpu(), rng);
+  const auto frozen = dlbench::nn::FrozenModel::freeze(model);
+  const auto replica = frozen;  // what ModelServer hands each replica
+  const std::vector<const float*> panels = frozen.fc_panels();
+  // Packed tiers keep both fc weights as panels only; the scalar tier
+  // keeps row-major tensors for the legacy kernels.
+  EXPECT_EQ(panels.size(),
+            dlbench::tensor::gemm_packed_active() ? std::size_t{2} : 0);
+  EXPECT_EQ(replica.fc_panels(), panels);
+}
+
+TEST(FrozenFusion, NumParamsAndDescribeFollowTheLayerList) {
+  struct Case {
+    FrameworkKind kind;
+    DatasetId dataset;
+    std::int64_t params;
+    const char* describe;
+  };
+  const Case cases[] = {
+      {FrameworkKind::kTensorFlow, DatasetId::kMnist, 3274640,
+       "  (0) conv+relu5x5 1->32 [frozen]\n"
+       "  (1) maxpool2x2 [frozen]\n"
+       "  (2) conv+relu5x5 32->64 [frozen]\n"
+       "  (3) maxpool2x2 [frozen]\n"
+       "  (4) Flatten [frozen]\n"
+       "  (5) fc+relu 3136->1024 [frozen]\n"
+       "  (6) fc 1024->10 [frozen]\n"},
+      {FrameworkKind::kCaffe, DatasetId::kCifar10, 145588,
+       "  (0) conv5x5 3->32 [frozen]\n"
+       "  (1) maxpool3x3 [frozen]\n"
+       "  (2) ReLU [frozen]\n"
+       "  (3) conv+relu5x5 32->32 [frozen]\n"
+       "  (4) avgpool3x3 [frozen]\n"
+       "  (5) conv+relu5x5 32->64 [frozen]\n"
+       "  (6) avgpool3x3 [frozen]\n"
+       "  (7) Flatten [frozen]\n"
+       "  (8) fc 1024->64 [frozen]\n"
+       "  (9) fc 64->10 [frozen]\n"},
+  };
+  for (const Case& c : cases) {
+    auto fw = make_framework(c.kind);
+    dlbench::util::Rng rng(5);
+    dlbench::nn::Sequential model = fw->build_model(
+        default_network_spec(c.kind, c.dataset), Device::cpu(), rng);
+    const auto frozen = dlbench::nn::FrozenModel::freeze(model);
+    EXPECT_EQ(frozen.num_params(), c.params) << to_string(c.kind);
+    EXPECT_EQ(frozen.describe(), c.describe) << to_string(c.kind);
+  }
 }
 
 // ---- data loader buffer reuse -------------------------------------------
