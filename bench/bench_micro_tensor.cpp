@@ -2,7 +2,7 @@
 // experiment: GEMM, im2col convolution, direct convolution, pooling,
 // softmax. Uses google-benchmark. Shapes are taken from the paper's
 // actual layers (Tables IV and V), plus square GEMM sizes for the
-// packed-vs-legacy kernel comparison (DESIGN.md §11, EXPERIMENTS.md).
+// packed kernel (DESIGN.md §11, EXPERIMENTS.md).
 //
 // Every bench reports arithmetic throughput (counter "GFLOPs", in
 // GFLOP/s) and memory throughput (counter "GBps", in GB/s, counting
@@ -65,8 +65,9 @@ void BM_MatmulFc1(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulFc1)->Args({16, 0})->Args({16, 1})->Args({64, 1})->UseRealTime();
 
-// Square GEMM through the packed SIMD kernel (the production matmul
-// path) — compare directly against BM_GemmRows at the same size.
+// Square GEMM through the packed kernel (the production matmul path).
+// scripts/perf_smoke.sh gates it at the active SIMD tier and, at 384,
+// again under DLB_SIMD=scalar (the portable micro-kernel).
 void BM_GemmPacked(benchmark::State& state) {
   const auto s = state.range(0);
   const Device dev = device_for(true);
@@ -81,24 +82,6 @@ void BM_GemmPacked(benchmark::State& state) {
   set_rates(state, gemm_flops(d, d, d), gemm_bytes(d, d, d));
 }
 BENCHMARK(BM_GemmPacked)->Arg(256)->Arg(384)->Arg(512)->UseRealTime();
-
-// The same sizes through the retained legacy row-blocked kernel — the
-// pre-packing baseline the ">= 2x" kernel acceptance is measured
-// against (scripts/perf_smoke.sh checks the ratio).
-void BM_GemmRows(benchmark::State& state) {
-  const auto s = state.range(0);
-  const Device dev = device_for(true);
-  util::Rng rng(7);
-  Tensor a = Tensor::randn(Shape({s, s}), rng);
-  Tensor b = Tensor::randn(Shape({s, s}), rng);
-  for (auto _ : state) {
-    Tensor c = tensor::matmul_rows_reference(a, b, dev);
-    benchmark::DoNotOptimize(c.raw());
-  }
-  const double d = static_cast<double>(s);
-  set_rates(state, gemm_flops(d, d, d), gemm_bytes(d, d, d));
-}
-BENCHMARK(BM_GemmRows)->Arg(256)->Arg(384)->Arg(512)->UseRealTime();
 
 // Serving's fc1 GEMM: [M, 3136] x [3136, 1024] with the fused bias+ReLU
 // epilogue, one thread. BM_GemmFc1Packed packs both operands per call

@@ -5,9 +5,9 @@
 # below the checked-in floor (scripts/perf_floor.txt, GFLOP/s recorded
 # on the reference CI box in a deliberately slow phase — the gate
 # catches real regressions such as a de-vectorized kernel or a spilled
-# accumulator, not scheduler noise). Also prints the packed-vs-rows
-# speedup per size, which the kernel acceptance in EXPERIMENTS.md
-# tracks.
+# accumulator, not scheduler noise). A second run under DLB_SIMD=scalar
+# gates the portable micro-kernel, the only GEMM path on hosts without
+# AVX2+FMA; its floors are the `scalar/`-prefixed lines.
 #
 # On a different machine, scale the floors instead of editing the file:
 #   DLB_PERF_FLOOR_SCALE=0.5 scripts/perf_smoke.sh
@@ -25,17 +25,21 @@ if [ ! -x "$BENCH" ]; then
 fi
 
 JSON="$(mktemp)"
-trap 'rm -f "$JSON"' EXIT
-"$BENCH" --benchmark_filter='Gemm(Packed|Rows|Nt)|ConvGemmLenet1' \
+SCALAR_JSON="$(mktemp)"
+trap 'rm -f "$JSON" "$SCALAR_JSON"' EXIT
+"$BENCH" --benchmark_filter='Gemm(Packed|Nt)|ConvGemmLenet1' \
          --benchmark_min_time=0.15 \
          --benchmark_format=json >"$JSON"
+DLB_SIMD=scalar "$BENCH" --benchmark_filter='GemmPacked/384' \
+         --benchmark_min_time=0.15 \
+         --benchmark_format=json >"$SCALAR_JSON"
 
-python3 - "$JSON" scripts/perf_floor.txt <<'PY'
+python3 - "$JSON" "$SCALAR_JSON" scripts/perf_floor.txt <<'PY'
 import json
 import os
 import sys
 
-json_path, floor_path = sys.argv[1], sys.argv[2]
+json_path, scalar_json_path, floor_path = sys.argv[1:4]
 scale = float(os.environ.get("DLB_PERF_FLOOR_SCALE", "1.0"))
 ALLOWED_REGRESSION = 0.30  # fail below 70% of the floor
 
@@ -49,10 +53,11 @@ with open(floor_path) as f:
         floors[name] = float(value)
 
 measured = {}
-for bench in json.load(open(json_path))["benchmarks"]:
-    if bench.get("run_type") == "aggregate":
-        continue
-    measured[bench["name"]] = bench["GFLOPs"]
+for path, prefix in ((json_path, ""), (scalar_json_path, "scalar/")):
+    for bench in json.load(open(path))["benchmarks"]:
+        if bench.get("run_type") == "aggregate":
+            continue
+        measured[prefix + bench["name"]] = bench["GFLOPs"]
 
 failures = []
 for name, floor in sorted(floors.items()):
@@ -66,12 +71,6 @@ for name, floor in sorted(floors.items()):
           f"gate {gate:7.2f})  {status}")
     if got < gate:
         failures.append(f"{name}: {got:.2f} GFLOP/s < gate {gate:.2f}")
-
-for size in (256, 384, 512):
-    packed = measured.get(f"BM_GemmPacked/{size}/real_time")
-    rows = measured.get(f"BM_GemmRows/{size}/real_time")
-    if packed and rows:
-        print(f"packed-vs-rows speedup @ {size}^3: {packed / rows:.2f}x")
 
 if failures:
     print("\nperf_smoke FAILED:", file=sys.stderr)

@@ -6,7 +6,6 @@
 #include "nn/layers.hpp"
 #include "runtime/trace.hpp"
 #include "tensor/gemm_kernel.hpp"
-#include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pack.hpp"
 #include "util/error.hpp"
@@ -15,18 +14,13 @@ namespace dlbench::nn {
 
 FrozenModel FrozenModel::freeze(const Sequential& model) {
   DLB_CHECK(model.size() > 0, "cannot freeze an empty model");
-  // fc weights are immutable from here on, so the packed tiers pack
-  // them into GEMM B panels once, straight from the layer's tensor, and
-  // keep only the panels. The scalar tier keeps a tensor copy for the
-  // legacy matmul kernels.
+  // fc weights are immutable from here on, so they are packed into GEMM
+  // B panels once, straight from the layer's tensor, and only the
+  // panels are kept.
   const auto freeze_fc = [](Op& op, const Tensor& weight, const Tensor& bias) {
     op.fc_in = weight.dim(0);
     op.fc_out = weight.dim(1);
     op.bias = bias.clone();
-    if (!tensor::gemm_packed_active()) {
-      op.weight = weight.clone();
-      return;
-    }
     auto panels = std::make_shared<std::vector<float>>(static_cast<std::size_t>(
         tensor::gemm_col_panels(op.fc_out) * tensor::kGemmNR * op.fc_in));
     tensor::pack_b_panels(weight.raw(), op.fc_out, 1, op.fc_in, op.fc_out,
@@ -103,15 +97,11 @@ FrozenModel FrozenModel::freeze(const Sequential& model) {
 Tensor FrozenModel::forward(const Tensor& x,
                             const runtime::Device& device) const {
   DLB_CHECK(!ops_.empty(), "empty frozen model");
-  // fc op: y = x·W + b [then ReLU]. With panels only the activation (A)
-  // is packed per call; the same panels feed the same macro loop as
+  // fc op: y = x·W + b [then ReLU]. Only the activation (A) is packed
+  // per call; the same panels feed the same macro loop as
   // tensor::matmul_bias[_relu], so the bits are identical to it.
   const auto fc = [&device](const Op& op, const Tensor& in) {
     const bool relu = op.kind == Op::Kind::kLinearRelu;
-    if (!op.panels) {
-      return relu ? tensor::matmul_bias_relu(in, op.weight, op.bias, device)
-                  : tensor::matmul_bias(in, op.weight, op.bias, device);
-    }
     runtime::trace::Span span(relu ? "matmul_bias_relu" : "matmul_bias",
                               "kernel");
     DLB_CHECK(in.shape().rank() == 2 && in.dim(1) == op.fc_in,

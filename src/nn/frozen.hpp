@@ -7,9 +7,9 @@
 // share one. Serving needs the opposite contract — many threads running
 // forward passes over one set of weights — so freeze() snapshots a
 // Sequential into a FrozenModel: a flat list of stateless inference ops
-// over parameter copies that are never written again. On the packed
-// SIMD tiers each fc weight is stored only as GEMM B panels, packed
-// once at freeze time, so a forward packs just the activations.
+// over parameter copies that are never written again. Each fc weight
+// is stored only as GEMM B panels, packed once at freeze time, so a
+// forward packs just the activations.
 // forward() is const, allocates all scratch per call, and is therefore
 // safe to run concurrently from any number of threads. Copying a
 // FrozenModel copies handles, not buffers, so server replicas share one
@@ -38,8 +38,7 @@ class FrozenModel {
 
   /// Copies every parameter of `model` into an immutable op list: conv
   /// weights and biases as tensors, fc weights as packed B panels
-  /// (tensor::gemm_prepacked_b) — or as tensors on the scalar tier,
-  /// which keeps the legacy matmul path.
+  /// (tensor::gemm_prepacked_b).
   /// Throws on layer kinds with no inference lowering (none exist in
   /// this codebase today). A peephole pass fuses each Linear or Conv2d
   /// op whose successor is a ReLU into one kLinearRelu / kConvRelu op
@@ -64,9 +63,9 @@ class FrozenModel {
   std::int64_t num_params() const;
   std::string describe() const;
 
-  /// Base address of each fc op's packed weight panels, in op order;
-  /// empty on the scalar tier. Copies of one model return the same
-  /// addresses: replicas share one set of panels.
+  /// Base address of each fc op's packed weight panels, in op order.
+  /// Copies of one model return the same addresses: replicas share one
+  /// set of panels.
   std::vector<const float*> fc_panels() const;
 
  private:
@@ -85,7 +84,7 @@ class FrozenModel {
       kFlatten,
     };
     Kind kind;
-    // Copies, never mutated. fc ops leave `weight` empty when `panels`
+    // Copies, never mutated. fc ops leave `weight` empty: `panels`
     // holds their [fc_in, fc_out] weight packed for the GEMM kernel.
     Tensor weight, bias;
     std::shared_ptr<const std::vector<float>> panels;

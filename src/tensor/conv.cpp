@@ -107,7 +107,7 @@ void col2im(const float* columns, const ConvGeom& g, float* image) {
 namespace {
 
 // Grow-only per-thread staging for the im2col/col2im buffers and the
-// packed-backward dW scratch. A pool worker runs one chunk at a time
+// backward dW scratch. A pool worker runs one chunk at a time
 // and the pool is never re-entered, so the three named buffers of one
 // thread are never live twice concurrently. On the serial executor
 // path the staging is a Tensor instead, so an active execution plan
@@ -150,8 +150,7 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = g.out_h(), ow = g.out_w(), ohw = oh * ow;
   const std::int64_t patch = g.patch_size();
-  // uninit: every branch below writes the full output (bias init or
-  // epilogue covers all of each sample's region).
+  // uninit: the GEMM writes every element of each sample's region.
   Tensor y = Tensor::uninit(Shape({n, g.out_c, oh, ow}));
 
   const float* px = x.raw();
@@ -161,75 +160,20 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   const std::int64_t in_sz = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_sz = g.out_c * ohw;
 
-  // GEMM for one unfolded sample, 4-channel blocking so each column row
-  // is read once per 4 output channels: out[oc, :] = W[oc, :]*columns+b.
-  auto gemm_sample = [&](const float* columns, float* out, std::int64_t oc_lo,
-                         std::int64_t oc_hi) {
-    std::int64_t oc = oc_lo;
-    for (; oc + 4 <= oc_hi; oc += 4) {
-      float* o0 = out + (oc + 0) * ohw;
-      float* o1 = out + (oc + 1) * ohw;
-      float* o2 = out + (oc + 2) * ohw;
-      float* o3 = out + (oc + 3) * ohw;
-      std::fill_n(o0, ohw, pb[oc + 0]);
-      std::fill_n(o1, ohw, pb[oc + 1]);
-      std::fill_n(o2, ohw, pb[oc + 2]);
-      std::fill_n(o3, ohw, pb[oc + 3]);
-      const float* w0 = pw + (oc + 0) * patch;
-      const float* w1 = pw + (oc + 1) * patch;
-      const float* w2 = pw + (oc + 2) * patch;
-      const float* w3 = pw + (oc + 3) * patch;
-      for (std::int64_t p = 0; p < patch; ++p) {
-        const float v0 = w0[p], v1 = w1[p], v2 = w2[p], v3 = w3[p];
-        const float* crow = columns + p * ohw;
-        for (std::int64_t j = 0; j < ohw; ++j) {
-          const float cv = crow[j];
-          o0[j] += v0 * cv;
-          o1[j] += v1 * cv;
-          o2[j] += v2 * cv;
-          o3[j] += v3 * cv;
-        }
-      }
-    }
-    for (; oc < oc_hi; ++oc) {
-      float* orow = out + oc * ohw;
-      std::fill_n(orow, ohw, pb[oc]);
-      const float* wrow = pw + oc * patch;
-      for (std::int64_t p = 0; p < patch; ++p) {
-        const float wv = wrow[p];
-        if (wv == 0.f) continue;
-        const float* crow = columns + p * ohw;
-        for (std::int64_t j = 0; j < ohw; ++j) orow[j] += wv * crow[j];
-      }
-    }
-  };
-
-  // Packed tier: the unfolded sample is a [out_c, patch] x [patch, ohw]
-  // GEMM with the per-channel bias applied in the kBiasRowInit epilogue
-  // (accumulators start at bias[oc] — the same operation chain as the
-  // legacy fill-then-accumulate kernel, so results are bitwise equal).
-  // With fuse_relu the epilogue is kBiasRowRelu: max(0, ·) on the
-  // finished accumulator, bitwise identical to a separate relu() pass.
-  const bool packed = gemm_packed_active();
+  // The unfolded sample is a [out_c, patch] x [patch, ohw] GEMM with
+  // the per-channel bias applied in the kBiasRowInit epilogue
+  // (accumulators start at bias[oc]). With fuse_relu the epilogue is
+  // kBiasRowRelu: max(0, ·) on the finished accumulator, bitwise
+  // identical to a separate relu() pass.
   const GemmEpilogue epi =
       fuse_relu ? GemmEpilogue::kBiasRowRelu : GemmEpilogue::kBiasRowInit;
   const Device serial = Device::cpu();
   // W is the A operand of every sample's GEMM: pack it once, on the
   // owner thread (arena-backed under a plan); workers only read it.
-  Tensor w_panels;
-  if (packed) {
-    w_panels =
-        Tensor::uninit(Shape({gemm_row_panels(g.out_c) * patch * kGemmMR}));
-    pack_a_panels(pw, patch, 1, g.out_c, patch, w_panels.raw(), dev);
-  }
+  Tensor w_panels =
+      Tensor::uninit(Shape({gemm_row_panels(g.out_c) * patch * kGemmMR}));
+  pack_a_panels(pw, patch, 1, g.out_c, patch, w_panels.raw(), dev);
   const float* pw_packed = w_panels.raw();
-
-  // Legacy tier's fused ReLU: one in-cache sweep over a sample's just-
-  // computed output region.
-  const auto relu_region = [](float* p, std::int64_t count) {
-    for (std::int64_t j = 0; j < count; ++j)
-      p[j] = p[j] > 0.f ? p[j] : 0.f;
-  };
 
   const std::size_t col_floats = static_cast<std::size_t>(patch * ohw);
   const bool inline_exec = !dev.is_parallel();
@@ -249,14 +193,9 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                                : worker_scratch(kColumns, col_floats);
           for (std::size_t i = lo; i < hi; ++i) {
             im2col(px + static_cast<std::int64_t>(i) * in_sz, g, columns);
-            float* out = py + static_cast<std::int64_t>(i) * out_sz;
-            if (packed) {
-              gemm_prepacked_a(pw_packed, columns, ohw, 1, out, g.out_c,
-                               patch, ohw, epi, pb, serial);
-            } else {
-              gemm_sample(columns, out, 0, g.out_c);
-              if (fuse_relu) relu_region(out, out_sz);
-            }
+            gemm_prepacked_a(pw_packed, columns, ohw, 1,
+                             py + static_cast<std::int64_t>(i) * out_sz,
+                             g.out_c, patch, ohw, epi, pb, serial);
           }
         },
         1);
@@ -265,29 +204,15 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
 
   // Tiny batches on the parallel device: unfold serially, split the
   // GEMM across output channels (how GPU conv kernels keep SMs busy at
-  // batch size 1, e.g. Torch's CIFAR-10 default). The packed kernel
-  // threads over output-channel macro-tiles instead of raw rows. The
-  // unfold buffer lives on the owner thread: arena-backed under a plan.
+  // batch size 1, e.g. Torch's CIFAR-10 default): the GEMM threads over
+  // output-channel macro-tiles. The unfold buffer lives on the owner
+  // thread: arena-backed under a plan.
   Tensor owner_cols = Tensor::uninit(Shape({patch * ohw}));
   float* columns = owner_cols.raw();
   for (std::int64_t i = 0; i < n; ++i) {
     im2col(px + i * in_sz, g, columns);
-    float* out = py + i * out_sz;
-    if (packed) {
-      gemm_prepacked_a(pw_packed, columns, ohw, 1, out, g.out_c, patch, ohw,
-                       epi, pb, dev);
-      continue;
-    }
-    dev.parallel_for(
-        static_cast<std::size_t>(g.out_c),
-        [&](std::size_t lo, std::size_t hi) {
-          gemm_sample(columns, out, static_cast<std::int64_t>(lo),
-                      static_cast<std::int64_t>(hi));
-          if (fuse_relu)
-            relu_region(out + static_cast<std::int64_t>(lo) * ohw,
-                        static_cast<std::int64_t>(hi - lo) * ohw);
-        },
-        1);
+    gemm_prepacked_a(pw_packed, columns, ohw, 1, py + i * out_sz, g.out_c,
+                     patch, ohw, epi, pb, dev);
   }
   return y;
 }
@@ -314,20 +239,14 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
   const std::int64_t in_sz = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_sz = g.out_c * ohw;
 
-  // Packed tier: both backward GEMMs of a sample run on the 6x16
-  // micro-kernels (serial inside a batch chunk — the pool is never
-  // re-entered):
+  // Both backward GEMMs of a sample run on the packed micro-kernels
+  // (serial inside a batch chunk — the pool is never re-entered):
   //   dW_s[oc, p]   = dy_i · columns^T   A = dy_i (ohw, 1),
   //                                      B = columns^T (1, ohw)
   //   dcolumns[p,:] = W^T · dy_i         A = W^T (1, patch),
   //                                      B = dy_i (ohw, 1)
   // dW_s is a per-sample scratch accumulated into the chunk partial so
-  // the cross-sample += order stays the chunk's sample order; db keeps
-  // the trivial legacy reduction. Per-element rounding changes from
-  // the legacy fused pass (single fma chain per output instead of the
-  // blocked mix), which moved the golden baselines within their bands;
-  // they were re-recorded (golden policy, DESIGN.md §15).
-  const bool packed = gemm_packed_active();
+  // the cross-sample += order stays the chunk's sample order.
   const Device serial = Device::cpu();
   const std::size_t col_floats = static_cast<std::size_t>(patch * ohw);
   const std::size_t dw_floats = static_cast<std::size_t>(g.out_c * patch);
@@ -339,16 +258,13 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
   if (inline_exec) {
     owner_cols = Tensor::uninit(Shape({patch * ohw}));
     owner_dcols = Tensor::uninit(Shape({patch * ohw}));
-    if (packed) owner_dw = Tensor::uninit(Shape({g.out_c * patch}));
+    owner_dw = Tensor::uninit(Shape({g.out_c * patch}));
   }
   // Wᵀ is the A operand of every sample's dcolumns GEMM: packed once on
   // the owner thread, as in conv2d_forward.
-  Tensor wt_panels;
-  if (packed) {
-    wt_panels =
-        Tensor::uninit(Shape({gemm_row_panels(patch) * g.out_c * kGemmMR}));
-    pack_a_panels(pw, 1, patch, patch, g.out_c, wt_panels.raw(), dev);
-  }
+  Tensor wt_panels =
+      Tensor::uninit(Shape({gemm_row_panels(patch) * g.out_c * kGemmMR}));
+  pack_a_panels(pw, 1, patch, patch, g.out_c, wt_panels.raw(), dev);
   const float* pwt_packed = wt_panels.raw();
 
   // Per-chunk weight/bias partials, merged serially in chunk order after
@@ -366,10 +282,8 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
         float* dcolumns = inline_exec
                               ? owner_dcols.raw()
                               : worker_scratch(kDColumns, col_floats);
-        float* dw_s = nullptr;
-        if (packed)
-          dw_s = inline_exec ? owner_dw.raw()
-                             : worker_scratch(kDwScratch, dw_floats);
+        float* dw_s = inline_exec ? owner_dw.raw()
+                                  : worker_scratch(kDwScratch, dw_floats);
         std::vector<float> local_dw(static_cast<std::size_t>(g.out_c * patch),
                                     0.f);
         std::vector<float> local_db(static_cast<std::size_t>(g.out_c), 0.f);
@@ -387,61 +301,11 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
             local_db[static_cast<std::size_t>(oc)] += db_acc;
           }
 
-          if (packed) {
-            gemm_packed(dyo, ohw, 1, columns, 1, ohw, dw_s, g.out_c, ohw,
-                        patch, GemmEpilogue::kNone, nullptr, serial);
-            for (std::size_t k = 0; k < dw_floats; ++k)
-              local_dw[k] += dw_s[k];
-            gemm_prepacked_a(pwt_packed, dyo, ohw, 1, dcolumns, patch,
-                             g.out_c, ohw, GemmEpilogue::kNone, nullptr,
-                             serial);
-            col2im(dcolumns, g, pdx + static_cast<std::int64_t>(i) * in_sz);
-            continue;
-          }
-
-          // Legacy tier: fused per-patch pass, 4-channel blocking:
-          //   dW[oc, p]     += dy[oc, :] · columns[p, :]
-          //   dcolumns[p,:] += W[oc, p] * dy[oc, :]
-          for (std::int64_t p = 0; p < patch; ++p) {
-            const float* crow = columns + p * ohw;
-            float* dcrow = dcolumns + p * ohw;
-            std::memset(dcrow, 0,
-                        static_cast<std::size_t>(ohw) * sizeof(float));
-            std::int64_t oc = 0;
-            for (; oc + 4 <= g.out_c; oc += 4) {
-              const float* d0 = dyo + (oc + 0) * ohw;
-              const float* d1 = dyo + (oc + 1) * ohw;
-              const float* d2 = dyo + (oc + 2) * ohw;
-              const float* d3 = dyo + (oc + 3) * ohw;
-              const float w0 = pw[(oc + 0) * patch + p];
-              const float w1 = pw[(oc + 1) * patch + p];
-              const float w2 = pw[(oc + 2) * patch + p];
-              const float w3 = pw[(oc + 3) * patch + p];
-              float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
-              for (std::int64_t j = 0; j < ohw; ++j) {
-                const float cv = crow[j];
-                a0 += d0[j] * cv;
-                a1 += d1[j] * cv;
-                a2 += d2[j] * cv;
-                a3 += d3[j] * cv;
-                dcrow[j] += w0 * d0[j] + w1 * d1[j] + w2 * d2[j] + w3 * d3[j];
-              }
-              local_dw[static_cast<std::size_t>((oc + 0) * patch + p)] += a0;
-              local_dw[static_cast<std::size_t>((oc + 1) * patch + p)] += a1;
-              local_dw[static_cast<std::size_t>((oc + 2) * patch + p)] += a2;
-              local_dw[static_cast<std::size_t>((oc + 3) * patch + p)] += a3;
-            }
-            for (; oc < g.out_c; ++oc) {
-              const float* drow = dyo + oc * ohw;
-              const float wv = pw[oc * patch + p];
-              float acc = 0.f;
-              for (std::int64_t j = 0; j < ohw; ++j) {
-                acc += drow[j] * crow[j];
-                dcrow[j] += wv * drow[j];
-              }
-              local_dw[static_cast<std::size_t>(oc * patch + p)] += acc;
-            }
-          }
+          gemm_packed(dyo, ohw, 1, columns, 1, ohw, dw_s, g.out_c, ohw,
+                      patch, GemmEpilogue::kNone, nullptr, serial);
+          for (std::size_t k = 0; k < dw_floats; ++k) local_dw[k] += dw_s[k];
+          gemm_prepacked_a(pwt_packed, dyo, ohw, 1, dcolumns, patch, g.out_c,
+                           ohw, GemmEpilogue::kNone, nullptr, serial);
           col2im(dcolumns, g, pdx + static_cast<std::int64_t>(i) * in_sz);
         }
 

@@ -34,11 +34,10 @@ void col2im(const float* columns, const ConvGeom& g, float* image);
 
 /// Forward conv: x [N, C, H, W], weight [out_c, patch_size], bias [out_c]
 /// → y [N, out_c, out_h, out_w]. Parallel over batch samples.
-/// `fuse_relu` applies ReLU to the output in the GEMM epilogue
-/// (packed tier) or in-register right after each sample's GEMM
-/// (legacy tier) — bitwise identical to a separate relu() pass on
-/// every tier, one fewer trip over the activations (used by the
-/// FrozenModel conv+ReLU peephole, DESIGN.md §15).
+/// `fuse_relu` applies ReLU to the output in the GEMM epilogue —
+/// bitwise identical to a separate relu() pass, one fewer trip over the
+/// activations (used by the FrozenModel conv+ReLU peephole, DESIGN.md
+/// §15).
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                       const Tensor& bias, const ConvGeom& g,
                       const runtime::Device& dev, bool fuse_relu = false);

@@ -26,11 +26,18 @@ void micro_kernel_scalar(const float* a_panel, const float* b_panel,
   } else {
     std::memset(acc, 0, sizeof(acc));
   }
+  // Fully unrolled r/j loops over a local copy of the B row: GCC then
+  // keeps all MR*NR accumulators in registers instead of spilling and
+  // reloading the array every k step, which ran 20-40x slower. Same
+  // arithmetic, same order, same bits.
   for (std::int64_t kk = 0; kk < k; ++kk) {
     const float* a = a_panel + kk * kGemmMR;
-    const float* b = b_panel + kk * kGemmNR;
+    float b[kGemmNR];
+    std::memcpy(b, b_panel + kk * kGemmNR, sizeof(b));
+#pragma GCC unroll 6
     for (std::int64_t r = 0; r < kGemmMR; ++r) {
       const float av = a[r];
+#pragma GCC unroll 16
       for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] += av * b[j];
     }
   }
@@ -53,44 +60,32 @@ void micro_kernel_scalar(const float* a_panel, const float* b_panel,
 namespace {
 
 // The single-panel kernel for the active tier, plus (when the tier has
-// one) a double-panel kernel the driver prefers for full interior
-// tiles. x2 is a pure throughput optimization — bitwise identical to
-// two single-panel calls — so only the hot kFma path carries one.
+// them) wider kernels the driver prefers for full interior tiles. They
+// are pure throughput optimizations — bitwise identical to the
+// equivalent single-panel calls.
 struct SelectedKernels {
   MicroKernelFn single;
   MicroKernelFn x2;    // MR x 2*NR; nullptr when the tier has none
   MicroKernelFn quad;  // 2*MR x 2*NR; nullptr when the tier has none
 };
 
-SelectedKernels select_micro_kernel(GemmMath math) {
+SelectedKernels select_micro_kernel() {
   const runtime::SimdLevel level = runtime::active_simd_level();
 #if defined(DLB_HAVE_AVX512_BUILD)
-  if (level == runtime::SimdLevel::kAvx512F) {
-    return math == GemmMath::kFma
-               ? SelectedKernels{micro_kernel_avx512, micro_kernel_avx512_x2,
-                                 micro_kernel_avx512_2x2}
-               : SelectedKernels{micro_kernel_avx512_muladd, nullptr, nullptr};
-  }
+  if (level == runtime::SimdLevel::kAvx512F)
+    return {micro_kernel_avx512, micro_kernel_avx512_x2,
+            micro_kernel_avx512_2x2};
 #endif
 #if defined(DLB_HAVE_AVX2_BUILD)
-  if (level == runtime::SimdLevel::kAvx2Fma) {
-    return math == GemmMath::kFma
-               ? SelectedKernels{micro_kernel_avx2fma, nullptr, nullptr}
-               : SelectedKernels{micro_kernel_avx2_muladd, nullptr, nullptr};
-  }
+  if (level == runtime::SimdLevel::kAvx2Fma)
+    return {micro_kernel_avx2fma, nullptr, nullptr};
 #endif
   (void)level;
-  return math == GemmMath::kFma
-             ? SelectedKernels{micro_kernel_scalar, nullptr, nullptr}
-             : SelectedKernels{micro_kernel_scalar_muladd, nullptr, nullptr};
+  return {micro_kernel_scalar, nullptr, nullptr};
 }
 
 }  // namespace
 }  // namespace detail
-
-bool gemm_packed_active() {
-  return runtime::active_simd_level() != runtime::SimdLevel::kScalar;
-}
 
 namespace {
 
@@ -129,12 +124,11 @@ void check_dims(std::int64_t m, std::int64_t k, std::int64_t n) {
 // TraceTest.KernelSpansRecordedFromMatmul).
 void gemm_macro(const float* pa_data, const float* pb_data, float* c,
                 std::int64_t m, std::int64_t k, std::int64_t n,
-                GemmEpilogue epilogue, const float* bias, const Device& dev,
-                GemmMath math) {
+                GemmEpilogue epilogue, const float* bias, const Device& dev) {
   const std::int64_t n_mp = gemm_row_panels(m);
   const std::int64_t n_np = gemm_col_panels(n);
 
-  const detail::SelectedKernels kernels = detail::select_micro_kernel(math);
+  const detail::SelectedKernels kernels = detail::select_micro_kernel();
   const detail::MicroKernelFn micro = kernels.single;
   const detail::MicroKernelFn micro_x2 = kernels.x2;
   const detail::MicroKernelFn micro_2x2 = kernels.quad;
@@ -274,33 +268,33 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                  GemmEpilogue epilogue, const float* bias,
-                 const Device& dev, GemmMath math) {
+                 const Device& dev) {
   check_dims(m, k, n);
   float* pa = scratch_a(m, k);
   float* pb = scratch_b(k, n);
   pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
   pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
-  gemm_macro(pa, pb, c, m, k, n, epilogue, bias, dev, math);
+  gemm_macro(pa, pb, c, m, k, n, epilogue, bias, dev);
 }
 
 void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
                       std::int64_t b_cs, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const Device& dev, GemmMath math) {
+                      const float* bias, const Device& dev) {
   check_dims(m, k, n);
   float* pb = scratch_b(k, n);
   pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
-  gemm_macro(a_panels, pb, c, m, k, n, epilogue, bias, dev, math);
+  gemm_macro(a_panels, pb, c, m, k, n, epilogue, bias, dev);
 }
 
 void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                       const float* b_panels, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const Device& dev, GemmMath math) {
+                      const float* bias, const Device& dev) {
   check_dims(m, k, n);
   float* pa = scratch_a(m, k);
   pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
-  gemm_macro(pa, b_panels, c, m, k, n, epilogue, bias, dev, math);
+  gemm_macro(pa, b_panels, c, m, k, n, epilogue, bias, dev);
 }
 
 }  // namespace dlbench::tensor

@@ -20,18 +20,11 @@
 // bitwise identical across thread counts and across runs. Zero-padded
 // edge lanes never feed a real output element.
 //
-// Rounding contract (GemmMath): the legacy kernels this layer replaces
-// were auto-vectorized two different ways, and replaying their exact
-// bits requires matching the rounding of each:
-//   kFma    — one fused multiply-add per (k, element), no intermediate
-//             rounding. This is what the compiler contracted the
-//             row-blocked matmul / matmul_tn / conv loops into.
-//   kMulAdd — round the product, then round the add (two roundings per
-//             step). The matmul_nt dot-product loop vectorized into
-//             separate vmulps + an ordered chain of lane adds, which
-//             never contracts, so its packed replacement must not
-//             contract either (the kMulAdd kernels live in translation
-//             units built with -ffp-contract=off to pin this down).
+// Rounding: every tier computes each step as one fused multiply-add,
+// acc = fma(a, b, acc), with no intermediate rounding of the product.
+// The AVX2/AVX-512 kernels issue vfmadd explicitly; the portable scalar
+// kernel gets the same bits from the compiler contracting its
+// `acc += a * b` whenever the target ISA has FMA.
 //
 // The epilogue is applied while the tile is still in registers, which
 // is what lets a dense layer skip a full output-tensor round trip for
@@ -40,8 +33,7 @@
 //                        layout; identical bits to a separate
 //                        add_row_bias pass).
 //   kBiasRowInit       — acc starts at bias[m] (conv's layout: one bias
-//                        per output channel; identical bits to the
-//                        legacy fill-then-accumulate kernel).
+//                        per output channel).
 
 #include <cstdint>
 
@@ -57,16 +49,6 @@ enum class GemmEpilogue {
   kBiasRowRelu,  // C = relu(bias[m] + A·B)
 };
 
-/// Per-step rounding of the K loop; see the rounding contract above.
-enum class GemmMath {
-  kFma,     // acc = fma(a, b, acc) — one rounding per step
-  kMulAdd,  // acc = acc + round(a*b) — two roundings per step
-};
-
-/// True when matmul/conv route through the packed SIMD kernel; false
-/// means the legacy row kernels run instead (scalar tier).
-bool gemm_packed_active();
-
 /// Packed GEMM. A(m, k) = a[m*a_rs + k*a_cs], B(k, n) = b[k*b_rs +
 /// n*b_cs], C is written dense row-major [M, N]. `bias` must have N
 /// entries for the column epilogues, M entries for the row epilogues,
@@ -76,7 +58,7 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                  GemmEpilogue epilogue, const float* bias,
-                 const runtime::Device& dev, GemmMath math = GemmMath::kFma);
+                 const runtime::Device& dev);
 
 /// gemm_packed with A already packed by pack_a_panels (`a_panels` holds
 /// gemm_row_panels(m) * k * kGemmMR floats); only B is packed per call.
@@ -85,8 +67,7 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
                       std::int64_t b_cs, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const runtime::Device& dev,
-                      GemmMath math = GemmMath::kFma);
+                      const float* bias, const runtime::Device& dev);
 
 /// gemm_packed with B already packed by pack_b_panels (`b_panels` holds
 /// gemm_col_panels(n) * k * kGemmNR floats); only A is packed per call.
@@ -95,8 +76,7 @@ void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
 void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                       const float* b_panels, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const runtime::Device& dev,
-                      GemmMath math = GemmMath::kFma);
+                      const float* bias, const runtime::Device& dev);
 
 namespace detail {
 
@@ -109,50 +89,32 @@ using MicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
                                GemmEpilogue epilogue, const float* bias_row,
                                const float* bias_col);
 
-/// Portable scalar micro-kernel, kFma rounding (always available).
+/// Portable scalar micro-kernel (always available; the only kernel on
+/// hosts without AVX2+FMA and under DLB_SIMD=scalar).
 void micro_kernel_scalar(const float* a_panel, const float* b_panel,
                          std::int64_t k, float* out, std::int64_t ldo,
                          GemmEpilogue epilogue, const float* bias_row,
                          const float* bias_col);
 
-/// Portable scalar micro-kernel, kMulAdd rounding (always available;
-/// gemm_kernel_nofma.cpp, built with -ffp-contract=off).
-void micro_kernel_scalar_muladd(const float* a_panel, const float* b_panel,
-                                std::int64_t k, float* out, std::int64_t ldo,
-                                GemmEpilogue epilogue, const float* bias_row,
-                                const float* bias_col);
-
 #if defined(DLB_HAVE_AVX2_BUILD)
-/// AVX2+FMA micro-kernel, kFma rounding (gemm_kernel_avx2.cpp; only
-/// dispatched when cpuid reports AVX2 and FMA).
+/// AVX2+FMA micro-kernel (gemm_kernel_avx2.cpp; only dispatched when
+/// cpuid reports AVX2 and FMA).
 void micro_kernel_avx2fma(const float* a_panel, const float* b_panel,
                           std::int64_t k, float* out, std::int64_t ldo,
                           GemmEpilogue epilogue, const float* bias_row,
                           const float* bias_col);
-
-/// AVX2 micro-kernel, kMulAdd rounding (gemm_kernel_avx2_nofma.cpp,
-/// built with -mavx2 -ffp-contract=off; same dispatch gate).
-void micro_kernel_avx2_muladd(const float* a_panel, const float* b_panel,
-                              std::int64_t k, float* out, std::int64_t ldo,
-                              GemmEpilogue epilogue, const float* bias_row,
-                              const float* bias_col);
 #endif
 
 #if defined(DLB_HAVE_AVX512_BUILD)
-/// AVX-512F micro-kernels (gemm_kernel_avx512[_nofma].cpp; only
-/// dispatched when cpuid reports AVX-512F). One NR panel is one zmm;
-/// bitwise identical to the AVX2 kernels of the same GemmMath.
+/// AVX-512F micro-kernel (gemm_kernel_avx512.cpp; only dispatched
+/// when cpuid reports AVX-512F). One NR panel is one zmm; bitwise
+/// identical to the AVX2 kernel.
 void micro_kernel_avx512(const float* a_panel, const float* b_panel,
                          std::int64_t k, float* out, std::int64_t ldo,
                          GemmEpilogue epilogue, const float* bias_row,
                          const float* bias_col);
 
-void micro_kernel_avx512_muladd(const float* a_panel, const float* b_panel,
-                                std::int64_t k, float* out, std::int64_t ldo,
-                                GemmEpilogue epilogue, const float* bias_row,
-                                const float* bias_col);
-
-/// Double-width AVX-512 kFma kernel: one call computes an MR x 2*NR
+/// Double-width AVX-512 kernel: one call computes an MR x 2*NR
 /// tile from two adjacent packed-B panels (`b_panels` points at panel
 /// np; panel np+1 follows at b_panels + k*kGemmNR). Each A broadcast
 /// feeds two fmadds, doubling the independent accumulator chains (12)

@@ -10,10 +10,9 @@
 // spill/reload of all 12 registers per iteration costs ~3x throughput.
 //
 // Each accumulator lane holds one C element for the whole K loop: one
-// vfmadd per (k, element), k ascending — the exact per-element
-// operation chain the contracted legacy kernels executed, which is
-// what keeps the golden training trajectories bitwise stable
-// (DESIGN.md §11).
+// vfmadd per (k, element), k ascending — the same per-element
+// operation chain as every other tier, so the SIMD level never moves
+// the bits (DESIGN.md §11).
 
 #include <immintrin.h>
 

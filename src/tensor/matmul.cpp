@@ -1,10 +1,7 @@
 #include "tensor/matmul.hpp"
 
-#include <cstring>
-
 #include "runtime/trace.hpp"
 #include "tensor/gemm_kernel.hpp"
-#include "tensor/ops.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::tensor {
@@ -12,57 +9,6 @@ namespace dlbench::tensor {
 using runtime::Device;
 
 namespace {
-
-// Legacy rows-of-A parallel GEMM, 4-row register blocking so each row
-// of B is read once per 4 output rows (the kernel is bandwidth-bound
-// otherwise): C[m..m+3, :] += A[m..m+3, k] * B[k, :]. This is the
-// scalar-tier kernel and the packed kernel's benchmark baseline.
-void gemm_rows(const float* a, const float* b, float* c, std::int64_t M,
-               std::int64_t K, std::int64_t N, const Device& dev) {
-  dev.parallel_for(
-      static_cast<std::size_t>(M),
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t m = lo;
-        for (; m + 4 <= hi; m += 4) {
-          float* c0 = c + (m + 0) * static_cast<std::size_t>(N);
-          float* c1 = c + (m + 1) * static_cast<std::size_t>(N);
-          float* c2 = c + (m + 2) * static_cast<std::size_t>(N);
-          float* c3 = c + (m + 3) * static_cast<std::size_t>(N);
-          std::memset(c0, 0, static_cast<std::size_t>(N) * sizeof(float));
-          std::memset(c1, 0, static_cast<std::size_t>(N) * sizeof(float));
-          std::memset(c2, 0, static_cast<std::size_t>(N) * sizeof(float));
-          std::memset(c3, 0, static_cast<std::size_t>(N) * sizeof(float));
-          const float* a0 = a + (m + 0) * static_cast<std::size_t>(K);
-          const float* a1 = a + (m + 1) * static_cast<std::size_t>(K);
-          const float* a2 = a + (m + 2) * static_cast<std::size_t>(K);
-          const float* a3 = a + (m + 3) * static_cast<std::size_t>(K);
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
-            if (v0 == 0.f && v1 == 0.f && v2 == 0.f && v3 == 0.f) continue;
-            const float* brow = b + static_cast<std::size_t>(k * N);
-            for (std::int64_t n = 0; n < N; ++n) {
-              const float bv = brow[n];
-              c0[n] += v0 * bv;
-              c1[n] += v1 * bv;
-              c2[n] += v2 * bv;
-              c3[n] += v3 * bv;
-            }
-          }
-        }
-        for (; m < hi; ++m) {
-          float* crow = c + m * static_cast<std::size_t>(N);
-          std::memset(crow, 0, static_cast<std::size_t>(N) * sizeof(float));
-          const float* arow = a + m * static_cast<std::size_t>(K);
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float av = arow[k];
-            if (av == 0.f) continue;  // sparse activations are common
-            const float* brow = b + static_cast<std::size_t>(k * N);
-            for (std::int64_t n = 0; n < N; ++n) crow[n] += av * brow[n];
-          }
-        }
-      },
-      4);
-}
 
 void check_rank2(const Tensor& a, const Tensor& b, const char* name) {
   DLB_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
@@ -77,25 +23,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Device& dev) {
   const std::int64_t M = a.dim(0), K = a.dim(1);
   DLB_CHECK(b.dim(0) == K, "matmul: inner dims " << K << " vs " << b.dim(0));
   const std::int64_t N = b.dim(1);
-  Tensor c = Tensor::uninit(Shape({M, N}));  // both branches write all of C
-  if (gemm_packed_active()) {
-    gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
-                GemmEpilogue::kNone, nullptr, dev);
-  } else {
-    gemm_rows(a.raw(), b.raw(), c.raw(), M, K, N, dev);
-  }
-  return c;
-}
-
-Tensor matmul_rows_reference(const Tensor& a, const Tensor& b,
-                             const Device& dev) {
-  check_rank2(a, b, "matmul_rows_reference");
-  const std::int64_t M = a.dim(0), K = a.dim(1);
-  DLB_CHECK(b.dim(0) == K,
-            "matmul_rows_reference: inner dims " << K << " vs " << b.dim(0));
-  const std::int64_t N = b.dim(1);
-  Tensor c({M, N});
-  gemm_rows(a.raw(), b.raw(), c.raw(), M, K, N, dev);
+  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
+              GemmEpilogue::kNone, nullptr, dev);
   return c;
 }
 
@@ -109,14 +39,9 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
   const std::int64_t N = b.dim(1);
   DLB_CHECK(bias.shape().rank() == 1 && bias.dim(0) == N,
             "matmul_bias: bias must be [N]");
-  Tensor c = Tensor::uninit(Shape({M, N}));  // both branches write all of C
-  if (gemm_packed_active()) {
-    gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
-                GemmEpilogue::kBiasColAdd, bias.raw(), dev);
-  } else {
-    gemm_rows(a.raw(), b.raw(), c.raw(), M, K, N, dev);
-    add_row_bias(c, bias, dev);
-  }
+  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
+              GemmEpilogue::kBiasColAdd, bias.raw(), dev);
   return c;
 }
 
@@ -130,15 +55,9 @@ Tensor matmul_bias_relu(const Tensor& a, const Tensor& b, const Tensor& bias,
   const std::int64_t N = b.dim(1);
   DLB_CHECK(bias.shape().rank() == 1 && bias.dim(0) == N,
             "matmul_bias_relu: bias must be [N]");
-  Tensor c = Tensor::uninit(Shape({M, N}));  // both branches write all of C
-  if (gemm_packed_active()) {
-    gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
-                GemmEpilogue::kBiasColRelu, bias.raw(), dev);
-  } else {
-    gemm_rows(a.raw(), b.raw(), c.raw(), M, K, N, dev);
-    add_row_bias(c, bias, dev);
-    c = relu(c, dev);
-  }
+  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  gemm_packed(a.raw(), K, 1, b.raw(), N, 1, c.raw(), M, K, N,
+              GemmEpilogue::kBiasColRelu, bias.raw(), dev);
   return c;
 }
 
@@ -149,31 +68,10 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b, const Device& dev) {
   const std::int64_t K = a.dim(0), M = a.dim(1);
   DLB_CHECK(b.dim(0) == K, "matmul_tn: inner dims " << K << " vs " << b.dim(0));
   const std::int64_t N = b.dim(1);
-  Tensor c = Tensor::uninit(Shape({M, N}));  // both branches write all of C
-  if (gemm_packed_active()) {
-    // A(m, k) lives at a[k*M + m]: row stride 1, column stride M.
-    gemm_packed(a.raw(), 1, M, b.raw(), N, 1, c.raw(), M, K, N,
-                GemmEpilogue::kNone, nullptr, dev);
-    return c;
-  }
-  float* pc = c.raw();
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  dev.parallel_for(
-      static_cast<std::size_t>(M),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t m = lo; m < hi; ++m) {
-          float* crow = pc + m * static_cast<std::size_t>(N);
-          std::memset(crow, 0, static_cast<std::size_t>(N) * sizeof(float));
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float av = pa[static_cast<std::size_t>(k * M) + m];
-            if (av == 0.f) continue;
-            const float* brow = pb + static_cast<std::size_t>(k * N);
-            for (std::int64_t n = 0; n < N; ++n) crow[n] += av * brow[n];
-          }
-        }
-      },
-      4);
+  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  // A(m, k) lives at a[k*M + m]: row stride 1, column stride M.
+  gemm_packed(a.raw(), 1, M, b.raw(), N, 1, c.raw(), M, K, N,
+              GemmEpilogue::kNone, nullptr, dev);
   return c;
 }
 
@@ -184,37 +82,11 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, const Device& dev) {
   const std::int64_t M = a.dim(0), K = a.dim(1);
   DLB_CHECK(b.dim(1) == K, "matmul_nt: inner dims " << K << " vs " << b.dim(1));
   const std::int64_t N = b.dim(0);
-  Tensor c = Tensor::uninit(Shape({M, N}));  // both branches write all of C
-  if (gemm_packed_active()) {
-    // B(k, n) lives at b[n*K + k]: row stride 1, column stride K — the
-    // packing layer absorbs the column-wise gather once per panel
-    // instead of re-reading B rows M/MR times as the legacy loop does.
-    // kMulAdd matches the legacy dot-product loop's separate
-    // round(a*b)-then-round(add) steps; the lane-reduction order still
-    // differs, so this routing moved the golden baselines within their
-    // bands and they were re-recorded (golden policy, DESIGN.md §15).
-    gemm_packed(a.raw(), K, 1, b.raw(), 1, K, c.raw(), M, K, N,
-                GemmEpilogue::kNone, nullptr, dev, GemmMath::kMulAdd);
-    return c;
-  }
-  float* pc = c.raw();
-  const float* pa = a.raw();
-  const float* pb = b.raw();
-  dev.parallel_for(
-      static_cast<std::size_t>(M),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t m = lo; m < hi; ++m) {
-          const float* arow = pa + m * static_cast<std::size_t>(K);
-          float* crow = pc + m * static_cast<std::size_t>(N);
-          for (std::int64_t n = 0; n < N; ++n) {
-            const float* brow = pb + static_cast<std::size_t>(n * K);
-            float acc = 0.f;
-            for (std::int64_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-            crow[n] = acc;
-          }
-        }
-      },
-      4);
+  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  // B(k, n) lives at b[n*K + k]: row stride 1, column stride K — the
+  // packing layer absorbs the column-wise gather once per panel.
+  gemm_packed(a.raw(), K, 1, b.raw(), 1, K, c.raw(), M, K, N,
+              GemmEpilogue::kNone, nullptr, dev);
   return c;
 }
 

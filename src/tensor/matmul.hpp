@@ -4,19 +4,17 @@
 // the fully connected layers are matmuls directly, so this is the hot
 // path of every experiment.
 //
-// Each call dispatches on runtime::active_simd_level(): the AVX2+FMA
-// tier routes through the packed-panel micro-kernel (gemm_kernel.hpp),
-// the scalar tier runs the legacy row-blocked kernels below unchanged.
-// Both tiers are bitwise-deterministic across thread counts; see
-// DESIGN.md §11 for the dispatch table and determinism contract.
+// Every call routes through the packed-panel GEMM (gemm_kernel.hpp),
+// whose micro-kernel is picked by runtime::active_simd_level(). Results
+// are bitwise-deterministic across thread counts; see DESIGN.md §11 for
+// the dispatch table and determinism contract.
 
 #include "runtime/device.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dlbench::tensor {
 
-/// C = A(MxK) * B(KxN). Parallelized over macro-tiles (packed tier) or
-/// rows of A (scalar tier).
+/// C = A(MxK) * B(KxN). Parallelized over macro-tiles of C.
 Tensor matmul(const Tensor& a, const Tensor& b, const runtime::Device& dev);
 
 /// C = A^T(MxK as KxM stored) * B(KxN)  → matmul_tn(a, b): a is [K, M].
@@ -35,12 +33,6 @@ Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
 /// Bitwise-identical to matmul + add_row_bias + relu.
 Tensor matmul_bias_relu(const Tensor& a, const Tensor& b, const Tensor& bias,
                         const runtime::Device& dev);
-
-/// The pre-packing row-blocked kernel, kept callable on every tier as
-/// the benchmarking baseline (bench_micro_tensor) and the packed
-/// kernel's differential-test reference (kernel_diff_test).
-Tensor matmul_rows_reference(const Tensor& a, const Tensor& b,
-                             const runtime::Device& dev);
 
 /// y[M,N] += bias[N] broadcast over rows.
 void add_row_bias(Tensor& y, const Tensor& bias, const runtime::Device& dev);

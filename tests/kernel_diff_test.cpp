@@ -397,9 +397,9 @@ TEST(KernelDiffTest, Im2colCol2imRowRunsMatchPerElementOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-GEMM layer (gemm_kernel.hpp): parity with the legacy row
-// kernel, direct driver coverage of strides / epilogues / both GemmMath
-// roundings, fused-epilogue bitwise equivalence, and determinism at the
+// Packed-GEMM layer (gemm_kernel.hpp): parity with the double-precision
+// oracle at the blocking edges, direct driver coverage of strides and
+// epilogues, fused-epilogue bitwise equivalence, and determinism at the
 // register-blocking boundaries.
 // ---------------------------------------------------------------------------
 
@@ -413,9 +413,9 @@ const MatDims kEdgeDims[] = {
     {12, 1, 32}, {36, 2, 96}, {5, 40, 11}, {1, 40, 96}, {96, 3, 1},
 };
 
-// The packed path against the retained legacy row kernel over the edge
-// shapes plus randoms (>= 50 total). Summation order differs, so this
-// is a tolerance comparison; bitwise coverage is below.
+// The packed path against the double-precision oracle over the edge
+// shapes plus randoms (>= 50 total). This is a tolerance comparison;
+// bitwise coverage is below.
 TEST(KernelDiffTest, PackedMatmulMatchesRowsReferenceAcrossShapes) {
   util::Rng rng(808);
   const Device serial = Device::cpu();
@@ -425,8 +425,8 @@ TEST(KernelDiffTest, PackedMatmulMatchesRowsReferenceAcrossShapes) {
   for (const MatDims& d : dims) {
     Tensor a = Tensor::randn(Shape({d.m, d.k}), rng);
     Tensor b = Tensor::randn(Shape({d.k, d.n}), rng);
-    const Tensor want = matmul_rows_reference(a, b, serial);
-    const std::string what = "packed-vs-rows " + std::to_string(d.m) + "x" +
+    const Tensor want = naive_matmul(a, b);
+    const std::string what = "packed-vs-naive " + std::to_string(d.m) + "x" +
                              std::to_string(d.k) + "x" + std::to_string(d.n);
     expect_close(matmul(a, b, serial), want, 1e-3, what + " serial");
     expect_close(matmul(a, b, threaded), want, 1e-3, what + " threaded");
@@ -458,9 +458,9 @@ Tensor naive_gemm_ep(const Tensor& a, std::int64_t a_rs, std::int64_t a_cs,
   return c;
 }
 
-// Direct gemm_packed calls: every epilogue x both GemmMath roundings x
-// the three stride patterns the matmul family uses (row-major,
-// transposed A, transposed B), on serial and threaded devices.
+// Direct gemm_packed calls: every epilogue x the three stride patterns
+// the matmul family uses (row-major, transposed A, transposed B), on
+// serial and threaded devices.
 TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
   util::Rng rng(909);
   const Device serial = Device::cpu();
@@ -482,33 +482,30 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
                        ep == GemmEpilogue::kBiasRowRelu;
       const Tensor* bias =
           ep == GemmEpilogue::kNone ? nullptr : (row ? &bias_row : &bias_col);
-      for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
-        const std::string what =
-            "gemm_packed " + std::to_string(d.m) + "x" + std::to_string(d.k) +
-            "x" + std::to_string(d.n) + " ep=" +
-            std::to_string(static_cast<int>(ep)) +
-            " math=" + std::to_string(static_cast<int>(math));
-        struct StrideCase {
-          const Tensor* src;
-          std::int64_t rs, cs;
-          const char* tag;
-        };
-        const StrideCase a_cases[] = {{&a, d.k, 1, " a-rowmajor"},
-                                      {&at, 1, d.m, " a-transposed"}};
-        const StrideCase b_cases[] = {{&b, d.n, 1, " b-rowmajor"},
-                                      {&bt, 1, d.k, " b-transposed"}};
-        for (const StrideCase& ac : a_cases) {
-          for (const StrideCase& bc : b_cases) {
-            const Tensor want =
-                naive_gemm_ep(*ac.src, ac.rs, ac.cs, *bc.src, bc.rs, bc.cs,
-                              d.m, d.k, d.n, ep, bias);
-            for (const Device* dev : {&serial, &threaded}) {
-              Tensor got = Tensor::uninit(Shape({d.m, d.n}));
-              gemm_packed(ac.src->raw(), ac.rs, ac.cs, bc.src->raw(), bc.rs,
-                          bc.cs, got.raw(), d.m, d.k, d.n, ep,
-                          bias ? bias->raw() : nullptr, *dev, math);
-              expect_close(got, want, 1e-3, what + ac.tag + bc.tag);
-            }
+      const std::string what =
+          "gemm_packed " + std::to_string(d.m) + "x" + std::to_string(d.k) +
+          "x" + std::to_string(d.n) + " ep=" +
+          std::to_string(static_cast<int>(ep));
+      struct StrideCase {
+        const Tensor* src;
+        std::int64_t rs, cs;
+        const char* tag;
+      };
+      const StrideCase a_cases[] = {{&a, d.k, 1, " a-rowmajor"},
+                                    {&at, 1, d.m, " a-transposed"}};
+      const StrideCase b_cases[] = {{&b, d.n, 1, " b-rowmajor"},
+                                    {&bt, 1, d.k, " b-transposed"}};
+      for (const StrideCase& ac : a_cases) {
+        for (const StrideCase& bc : b_cases) {
+          const Tensor want =
+              naive_gemm_ep(*ac.src, ac.rs, ac.cs, *bc.src, bc.rs, bc.cs,
+                            d.m, d.k, d.n, ep, bias);
+          for (const Device* dev : {&serial, &threaded}) {
+            Tensor got = Tensor::uninit(Shape({d.m, d.n}));
+            gemm_packed(ac.src->raw(), ac.rs, ac.cs, bc.src->raw(), bc.rs,
+                        bc.cs, got.raw(), d.m, d.k, d.n, ep,
+                        bias ? bias->raw() : nullptr, *dev);
+            expect_close(got, want, 1e-3, what + ac.tag + bc.tag);
           }
         }
       }
@@ -518,7 +515,7 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
 
 // The pre-packed entry points run the same macro loop over the same
 // panels as gemm_packed, so they must match it bit for bit: every edge
-// shape, every epilogue, both roundings, 1/2/4 threads.
+// shape, every epilogue, 1/2/4 threads.
 TEST(KernelDiffTest, PrepackedEntryPointsBitwiseMatchGemmPacked) {
   util::Rng rng(1313);
   const GemmEpilogue eps[] = {
@@ -542,28 +539,25 @@ TEST(KernelDiffTest, PrepackedEntryPointsBitwiseMatchGemmPacked) {
       const float* bias = ep == GemmEpilogue::kNone
                               ? nullptr
                               : (row ? bias_row.raw() : bias_col.raw());
-      for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
-        for (const int threads : {1, 2, 4}) {
-          const Device dev =
-              threads == 1 ? Device::cpu() : Device::parallel(threads);
-          const std::string what =
-              std::to_string(d.m) + "x" + std::to_string(d.k) + "x" +
-              std::to_string(d.n) + " ep=" +
-              std::to_string(static_cast<int>(ep)) +
-              " math=" + std::to_string(static_cast<int>(math)) +
-              " threads=" + std::to_string(threads);
-          Tensor want = Tensor::uninit(Shape({d.m, d.n}));
-          Tensor got_a = Tensor::uninit(Shape({d.m, d.n}));
-          Tensor got_b = Tensor::uninit(Shape({d.m, d.n}));
-          gemm_packed(a.raw(), d.k, 1, b.raw(), d.n, 1, want.raw(), d.m, d.k,
-                      d.n, ep, bias, dev, math);
-          gemm_prepacked_a(pa.data(), b.raw(), d.n, 1, got_a.raw(), d.m, d.k,
-                           d.n, ep, bias, dev, math);
-          gemm_prepacked_b(a.raw(), d.k, 1, pb.data(), got_b.raw(), d.m, d.k,
-                           d.n, ep, bias, dev, math);
-          expect_bitwise_equal(got_a, want, what + " prepacked A");
-          expect_bitwise_equal(got_b, want, what + " prepacked B");
-        }
+      for (const int threads : {1, 2, 4}) {
+        const Device dev =
+            threads == 1 ? Device::cpu() : Device::parallel(threads);
+        const std::string what =
+            std::to_string(d.m) + "x" + std::to_string(d.k) + "x" +
+            std::to_string(d.n) + " ep=" +
+            std::to_string(static_cast<int>(ep)) +
+            " threads=" + std::to_string(threads);
+        Tensor want = Tensor::uninit(Shape({d.m, d.n}));
+        Tensor got_a = Tensor::uninit(Shape({d.m, d.n}));
+        Tensor got_b = Tensor::uninit(Shape({d.m, d.n}));
+        gemm_packed(a.raw(), d.k, 1, b.raw(), d.n, 1, want.raw(), d.m, d.k,
+                    d.n, ep, bias, dev);
+        gemm_prepacked_a(pa.data(), b.raw(), d.n, 1, got_a.raw(), d.m, d.k,
+                         d.n, ep, bias, dev);
+        gemm_prepacked_b(a.raw(), d.k, 1, pb.data(), got_b.raw(), d.m, d.k,
+                         d.n, ep, bias, dev);
+        expect_bitwise_equal(got_a, want, what + " prepacked A");
+        expect_bitwise_equal(got_b, want, what + " prepacked B");
       }
     }
   }

@@ -22,7 +22,6 @@
 #include "runtime/trace.hpp"
 #include "serve/server.hpp"
 #include "tensor/arena.hpp"
-#include "tensor/gemm_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -478,10 +477,8 @@ TEST(FrozenFusion, CopiesShareOneSetOfFcPanels) {
   const auto frozen = dlbench::nn::FrozenModel::freeze(model);
   const auto replica = frozen;  // what ModelServer hands each replica
   const std::vector<const float*> panels = frozen.fc_panels();
-  // Packed tiers keep both fc weights as panels only; the scalar tier
-  // keeps row-major tensors for the legacy kernels.
-  EXPECT_EQ(panels.size(),
-            dlbench::tensor::gemm_packed_active() ? std::size_t{2} : 0);
+  // Both fc weights are kept as panels only, on every SIMD tier.
+  EXPECT_EQ(panels.size(), std::size_t{2});
   EXPECT_EQ(replica.fc_panels(), panels);
 }
 
