@@ -1,21 +1,18 @@
 #include "core/harness.hpp"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "data/synthetic.hpp"
 #include "frameworks/data_parallel.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::core {
 
-namespace {
+using util::env_f64;
+using util::env_i64;
 
-std::int64_t env_int64(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
+namespace {
 
 // "Caffe/TF MNIST/mnist/CPU" -> "caffe_tf_mnist_mnist_cpu": filesystem-
 // safe cell tag for per-cell trace output paths.
@@ -47,18 +44,16 @@ std::string per_cell_path(const std::string& base, const std::string& tag) {
 
 HarnessOptions HarnessOptions::from_env() {
   HarnessOptions opt;
-  opt.mnist_train = env_int64("DLB_MNIST_TRAIN", opt.mnist_train);
-  opt.mnist_test = env_int64("DLB_MNIST_TEST", opt.mnist_test);
-  opt.cifar_train = env_int64("DLB_CIFAR_TRAIN", opt.cifar_train);
-  opt.cifar_test = env_int64("DLB_CIFAR_TEST", opt.cifar_test);
+  opt.mnist_train = env_i64("DLB_MNIST_TRAIN", opt.mnist_train);
+  opt.mnist_test = env_i64("DLB_MNIST_TEST", opt.mnist_test);
+  opt.cifar_train = env_i64("DLB_CIFAR_TRAIN", opt.cifar_train);
+  opt.cifar_test = env_i64("DLB_CIFAR_TEST", opt.cifar_test);
   opt.small_batch_step_cap =
-      env_int64("DLB_SMALL_BATCH_STEP_CAP", opt.small_batch_step_cap);
-  if (const char* raw = std::getenv("DLB_MNIST_FLOPS"); raw && *raw)
-    opt.mnist_flop_budget = std::strtod(raw, nullptr);
-  if (const char* raw = std::getenv("DLB_CIFAR_FLOPS"); raw && *raw)
-    opt.cifar_flop_budget = std::strtod(raw, nullptr);
-  if (const char* raw = std::getenv("DLB_ITER_FRACTION"); raw && *raw)
-    opt.iteration_fraction = std::strtod(raw, nullptr);
+      env_i64("DLB_SMALL_BATCH_STEP_CAP", opt.small_batch_step_cap);
+  opt.mnist_flop_budget = env_f64("DLB_MNIST_FLOPS", opt.mnist_flop_budget);
+  opt.cifar_flop_budget = env_f64("DLB_CIFAR_FLOPS", opt.cifar_flop_budget);
+  opt.iteration_fraction =
+      env_f64("DLB_ITER_FRACTION", opt.iteration_fraction);
   return opt;
 }
 

@@ -23,11 +23,12 @@
 // along the way is a pure function of (model, data, seed, S); K only
 // decides how many shards are in flight at once.
 //
-// The loop carries the same guard contract as Framework::train:
-// divergence detection before the update, snapshot/rollback recovery
-// with learning-rate backoff, watchdog timeout, and the
-// DLB_FAULT_DP_STALL_* straggler injection for measuring what a slow
-// worker costs the synchronous barrier.
+// Training runs the one guarded loop Framework::train runs
+// (frameworks/train_loop.hpp: watchdog, divergence check, rollback,
+// snapshots, phase accounting); this trainer only supplies its
+// gradient source — sharding, fan-out, reduce and broadcast — plus the
+// DLB_FAULT_DP_STALL_* straggler hook for measuring what a slow worker
+// costs the synchronous barrier.
 
 #include <cstdint>
 

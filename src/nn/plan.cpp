@@ -1,22 +1,14 @@
 #include "nn/plan.hpp"
 
-#include <cstdlib>
 #include <string>
 
 #include "runtime/trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::nn {
 
-namespace {
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
-
-}  // namespace
+using util::env_i64;
 
 PlanOptions PlanOptions::from_env() { return from_env(PlanOptions{}); }
 

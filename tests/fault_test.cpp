@@ -2,6 +2,8 @@
 // fault plans, NaN-gradient injection with rollback recovery, retry
 // exhaustion degrading to a diverged record, watchdog timeouts on
 // stalled workers, dataset sample drops, and checkpoint corruption.
+// The guard-contract cases run through both gradient sources of the
+// one loop: Framework::train and DataParallelTrainer.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "core/harness.hpp"
 #include "core/report.hpp"
 #include "data/synthetic.hpp"
+#include "frameworks/data_parallel.hpp"
 #include "frameworks/registry.hpp"
 #include "nn/checkpoint.hpp"
 #include "runtime/fault.hpp"
@@ -32,6 +35,17 @@ using frameworks::TrainOptions;
 using frameworks::TrainResult;
 using frameworks::TrainingConfig;
 using runtime::Device;
+
+// The guarded loop's two gradient sources: Framework::train, and
+// DataParallelTrainer with K = 2 workers over S = 4 shards. The guard
+// contract cases below run on both.
+enum class Path { kSerial, kDataParallel };
+constexpr Path kPaths[] = {Path::kSerial, Path::kDataParallel};
+
+const char* path_name(Path path) {
+  return path == Path::kSerial ? "Framework::train"
+                               : "DataParallelTrainer K=2 S=4";
+}
 
 // One small Caffe-MNIST training cell; cheap and reliably convergent
 // within `step_cap` steps when nothing interferes.
@@ -53,10 +67,18 @@ struct Cell {
                                             DatasetId::kMnist);
   }
 
-  TrainResult train(const TrainOptions& opts, const Device& dev) {
+  TrainResult train(const TrainOptions& opts, const Device& dev,
+                    Path path = Path::kSerial) {
     util::Rng rng(3);
     nn::Sequential model = fw->build_model(spec, dev, rng);
-    return fw->train(model, mnist.train, config, dev, opts);
+    if (path == Path::kSerial)
+      return fw->train(model, mnist.train, config, dev, opts);
+    frameworks::DataParallelOptions dp;
+    dp.workers = 2;
+    dp.shards = 4;
+    dp.train = opts;
+    return frameworks::DataParallelTrainer(*fw, dp).train(model, mnist.train,
+                                                          config, dev);
   }
 };
 
@@ -135,6 +157,14 @@ TEST(FaultScope, GradientCorruptionIsDeterministicAndBounded) {
   EXPECT_GT(std::count(a.begin(), a.end(), true), 0);
 }
 
+TEST(GuardOptions, MalformedKnobThrowsInsteadOfDisablingRecovery) {
+  // strtoll would read "two" as 0 and silently turn recovery off.
+  setenv("DLB_GUARD_MAX_RECOVERIES", "two", 1);
+  EXPECT_THROW(frameworks::GuardOptions::from_env(), dlbench::Error);
+  unsetenv("DLB_GUARD_MAX_RECOVERIES");
+  EXPECT_EQ(frameworks::GuardOptions::from_env().max_recoveries, 2);
+}
+
 // ---- guarded training: recovery and exhaustion ----
 
 TEST(GuardedTraining, NanInjectionRecoversAndConverges) {
@@ -164,14 +194,17 @@ TEST(GuardedTraining, PersistentFaultExhaustsRetriesGracefully) {
   plan.grad_fault = fault::GradFault::kNaN;
   plan.grad_step = 20;
   plan.grad_max_fires = 1000;  // fault re-fires on every retry
-  fault::FaultScope scope(plan);
 
-  TrainResult res = cell.train(opts, Device::gpu());
-  EXPECT_TRUE(res.diverged);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.divergence_step, 20);
-  EXPECT_EQ(res.recovery_attempts, 2);  // both retries consumed
-  EXPECT_EQ(res.steps, 20);             // aborted at the faulty step
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    fault::FaultScope scope(plan);
+    TrainResult res = cell.train(opts, Device::gpu(), path);
+    EXPECT_TRUE(res.diverged);
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(res.divergence_step, 20);
+    EXPECT_EQ(res.recovery_attempts, 2);  // both retries consumed
+    EXPECT_EQ(res.steps, 20);             // aborted at the faulty step
+  }
 }
 
 TEST(GuardedTraining, InfInjectionIsAlsoDetected) {
@@ -182,12 +215,15 @@ TEST(GuardedTraining, InfInjectionIsAlsoDetected) {
   fault::FaultPlan plan;
   plan.grad_fault = fault::GradFault::kInf;
   plan.grad_step = 5;
-  fault::FaultScope scope(plan);
 
-  TrainResult res = cell.train(opts, Device::gpu());
-  EXPECT_TRUE(res.diverged);
-  EXPECT_EQ(res.divergence_step, 5);
-  EXPECT_EQ(res.recovery_attempts, 0);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    fault::FaultScope scope(plan);
+    TrainResult res = cell.train(opts, Device::gpu(), path);
+    EXPECT_TRUE(res.diverged);
+    EXPECT_EQ(res.divergence_step, 5);
+    EXPECT_EQ(res.recovery_attempts, 0);
+  }
 }
 
 TEST(GuardedTraining, GradNormLimitCatchesExplosionBeforeNan) {
@@ -197,10 +233,13 @@ TEST(GuardedTraining, GradNormLimitCatchesExplosionBeforeNan) {
   opts.guard.grad_norm_limit = 1e4;
   opts.guard.max_recoveries = 0;
 
-  TrainResult res = cell.train(opts, Device::gpu());
-  EXPECT_TRUE(res.diverged);
-  EXPECT_GE(res.divergence_step, 0);
-  EXPECT_LT(res.steps, 40);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    TrainResult res = cell.train(opts, Device::gpu(), path);
+    EXPECT_TRUE(res.diverged);
+    EXPECT_GE(res.divergence_step, 0);
+    EXPECT_LT(res.steps, 40);
+  }
 }
 
 TEST(GuardedTraining, UnfaultedRunMatchesGuardDisabledRun) {
@@ -210,11 +249,14 @@ TEST(GuardedTraining, UnfaultedRunMatchesGuardDisabledRun) {
   TrainOptions unguarded = guarded_options(30);
   unguarded.guard.max_recoveries = 0;
 
-  TrainResult a = cell.train(guarded, Device::cpu());
-  TrainResult b = cell.train(unguarded, Device::cpu());
-  EXPECT_EQ(a.final_loss, b.final_loss);
-  EXPECT_EQ(a.loss_curve, b.loss_curve);
-  EXPECT_EQ(a.steps, b.steps);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    TrainResult a = cell.train(guarded, Device::cpu(), path);
+    TrainResult b = cell.train(unguarded, Device::cpu(), path);
+    EXPECT_EQ(a.final_loss, b.final_loss);
+    EXPECT_EQ(a.loss_curve, b.loss_curve);
+    EXPECT_EQ(a.steps, b.steps);
+  }
 }
 
 // ---- watchdog ----
@@ -252,15 +294,18 @@ TEST(Watchdog, FiresOnStalledTrainingStep) {
   plan.stall_ms = 30000;
   plan.stall_step = 3;
   plan.stall_scope = fault::StallScope::kTrainStep;
-  fault::FaultScope scope(plan);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  TrainResult res = cell.train(opts, Device::gpu());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_TRUE(res.timed_out);
-  EXPECT_LT(elapsed, 10.0);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    fault::FaultScope scope(plan);
+    const auto t0 = std::chrono::steady_clock::now();
+    TrainResult res = cell.train(opts, Device::gpu(), path);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_TRUE(res.timed_out);
+    EXPECT_LT(elapsed, 10.0);
+  }
 }
 
 TEST(Watchdog, DisarmedWatchdogNeverFires) {
@@ -314,11 +359,14 @@ TEST(DatasetFaults, TotalStarvationEndsTrainingGracefully) {
   TrainOptions opts = guarded_options(20);
   fault::FaultPlan plan;
   plan.sample_drop_rate = 1.0;  // every sample dropped
-  fault::FaultScope scope(plan);
-  TrainResult res = cell.train(opts, Device::gpu());
-  EXPECT_TRUE(res.diverged);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.steps, 0);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE(path_name(path));
+    fault::FaultScope scope(plan);
+    TrainResult res = cell.train(opts, Device::gpu(), path);
+    EXPECT_TRUE(res.diverged);
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(res.steps, 0);
+  }
 }
 
 // ---- checkpoint faults ----

@@ -12,6 +12,9 @@
 
 #include "core/harness.hpp"
 #include "core/report.hpp"
+#include "data/synthetic.hpp"
+#include "frameworks/data_parallel.hpp"
+#include "frameworks/registry.hpp"
 #include "runtime/device.hpp"
 #include "runtime/trace.hpp"
 #include "tensor/matmul.hpp"
@@ -249,6 +252,51 @@ TEST(TraceTest, HarnessCellEmbedsTraceReport) {
   EXPECT_NE(json.find("\"trace\""), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("optim.step"), std::string::npos);
+}
+
+TEST(TraceTest, DataParallelStepsShareTheTrainStepSpan) {
+  // Serial and data-parallel training run one loop, so a K-worker run
+  // counts its optimizer steps under `train.step`, as Framework::train
+  // does, and its reduces under `dp.reduces`.
+  using frameworks::DatasetId;
+  using frameworks::FrameworkKind;
+  auto fw = frameworks::make_framework(FrameworkKind::kCaffe);
+  data::MnistOptions d;
+  d.train_samples = 200;
+  d.test_samples = 10;
+  const data::DatasetPair mnist = data::synthetic_mnist(d);
+  util::Rng rng(7);
+  nn::Sequential model = fw->build_model(
+      frameworks::default_network_spec(FrameworkKind::kCaffe,
+                                       DatasetId::kMnist),
+      Device::cpu(), rng);
+  frameworks::DataParallelOptions opts;
+  opts.workers = 2;
+  opts.shards = 4;
+  opts.train.scale.max_step_cap = 6;
+  const frameworks::DataParallelTrainer trainer(*fw, opts);
+
+  frameworks::TrainResult result;
+  TraceReport report;
+  {
+    TraceScope scope;
+    result = trainer.train(model, mnist.train,
+                           frameworks::default_training_config(
+                               FrameworkKind::kCaffe, DatasetId::kMnist),
+                           Device::cpu());
+    report = scope.report();
+  }
+  ASSERT_EQ(result.steps, 6);
+  std::int64_t step_spans = 0;
+  for (const SpanStat& s : report.spans) {
+    if (s.name == "train.step") step_spans += s.count;
+    EXPECT_NE(s.name, "dp.step");
+  }
+  EXPECT_EQ(step_spans, result.steps);
+  std::int64_t reduces = 0;
+  for (const CounterStat& c : report.counters)
+    if (c.name == "dp.reduces") reduces = c.value;
+  EXPECT_EQ(reduces, result.steps);
 }
 
 TEST(TraceTest, RecordJsonOmitsEmptyTrace) {

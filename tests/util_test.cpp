@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "util/crc32.hpp"
 #include "util/entropy.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -217,6 +219,71 @@ TEST(Check, ThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("custom message 42"),
               std::string::npos);
   }
+}
+
+// ---- env knobs ----
+
+// Sets one variable for the life of the object.
+struct ScopedEnv {
+  const char* name;
+  ScopedEnv(const char* n, const char* value) : name(n) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name); }
+};
+
+// The thrown message must name the variable, so a typo in a sweep's
+// environment points at the knob that caused it.
+template <typename Fn>
+void expect_throw_naming(const char* name, Fn fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected dlbench::Error for " << name;
+  } catch (const dlbench::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Env, ParsesValidValues) {
+  ScopedEnv i("DLB_TEST_ENV_I64", "-42");
+  ScopedEnv f("DLB_TEST_ENV_F64", "2e10");
+  EXPECT_EQ(env_i64("DLB_TEST_ENV_I64", 7), -42);
+  EXPECT_EQ(env_f64("DLB_TEST_ENV_F64", 7.0), 2e10);
+}
+
+TEST(Env, UnsetValueFallsBack) {
+  ::unsetenv("DLB_TEST_ENV_UNSET");
+  EXPECT_EQ(env_i64("DLB_TEST_ENV_UNSET", 7), 7);
+  EXPECT_EQ(env_f64("DLB_TEST_ENV_UNSET", 0.5), 0.5);
+}
+
+TEST(Env, EmptyValueFallsBack) {
+  ScopedEnv e("DLB_TEST_ENV_EMPTY", "");
+  EXPECT_EQ(env_i64("DLB_TEST_ENV_EMPTY", 7), 7);
+  EXPECT_EQ(env_f64("DLB_TEST_ENV_EMPTY", 0.5), 0.5);
+}
+
+TEST(Env, TrailingGarbageThrowsNamingTheVariable) {
+  ScopedEnv i("DLB_TEST_ENV_I64", "12ms");
+  ScopedEnv f("DLB_TEST_ENV_F64", "0.25x");
+  expect_throw_naming("DLB_TEST_ENV_I64",
+                      [] { env_i64("DLB_TEST_ENV_I64", 0); });
+  expect_throw_naming("DLB_TEST_ENV_F64",
+                      [] { env_f64("DLB_TEST_ENV_F64", 0.0); });
+  // An integer knob does not silently truncate a fraction.
+  ScopedEnv frac("DLB_TEST_ENV_FRAC", "1.5");
+  expect_throw_naming("DLB_TEST_ENV_FRAC",
+                      [] { env_i64("DLB_TEST_ENV_FRAC", 0); });
+}
+
+TEST(Env, NonNumericValueThrowsNamingTheVariable) {
+  ScopedEnv i("DLB_TEST_ENV_I64", "two");
+  ScopedEnv f("DLB_TEST_ENV_F64", "fast");
+  expect_throw_naming("DLB_TEST_ENV_I64",
+                      [] { env_i64("DLB_TEST_ENV_I64", 2); });
+  expect_throw_naming("DLB_TEST_ENV_F64",
+                      [] { env_f64("DLB_TEST_ENV_F64", 2.0); });
 }
 
 }  // namespace
