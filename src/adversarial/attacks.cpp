@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "adversarial/engine.hpp"
 #include "nn/frozen.hpp"
@@ -13,6 +12,27 @@
 namespace dlbench::adversarial {
 
 namespace {
+
+// Attacks differentiate the deployed (eval-mode) model with respect to
+// its input only: no parameter gradient is computed, accumulated or
+// zeroed.
+Context attack_context(const Context& ctx) {
+  Context eval = ctx;
+  eval.training = false;
+  eval.param_grads = false;
+  return eval;
+}
+
+// Jacobian of the logits cached by the model's last forward of one
+// sample: the classes x classes identity backpropagated as `classes`
+// stacked cotangents, so row j is d logit_j / d x.
+Tensor cached_jacobian(Sequential& model, std::int64_t classes,
+                       const Context& eval) {
+  Tensor seeds({classes, classes});
+  for (std::int64_t j = 0; j < classes; ++j) seeds.raw()[j * classes + j] = 1.f;
+  const Tensor dx = model.backward_from_logits(seeds, eval);
+  return dx.reshape(tensor::Shape({classes, dx.numel() / classes}));
+}
 
 std::int64_t predict_one(Sequential& model, const Tensor& x,
                          const Context& ctx) {
@@ -41,8 +61,7 @@ AttackOutcome fgsm_attack(Sequential& model, const Tensor& x,
   DLB_CHECK(options.epsilon > 0.f, "epsilon must be positive");
   DLB_CHECK(options.max_iterations >= 1, "need at least one iteration");
 
-  Context eval = ctx;
-  eval.training = false;  // gradients w.r.t. the *deployed* model
+  const Context eval = attack_context(ctx);
 
   AttackOutcome outcome;
   outcome.source_class = label;
@@ -52,7 +71,6 @@ AttackOutcome fgsm_attack(Sequential& model, const Tensor& x,
   const std::vector<std::int64_t> labels{label};
   for (int it = 0; it < options.max_iterations; ++it) {
     nn::LossResult loss = model.forward_loss(adv, labels, eval);
-    model.zero_grads();
     Tensor dx = model.backward(loss, labels, eval);
     Tensor step = tensor::sign(dx, eval.device);
     tensor::axpy_inplace(adv, options.epsilon, step, eval.device);
@@ -118,23 +136,9 @@ Tensor logit_jacobian(Sequential& model, const Tensor& x,
                       std::int64_t classes, const Context& ctx) {
   DLB_CHECK(x.shape().rank() == 4 && x.dim(0) == 1,
             "jacobian expects a single sample");
-  Context eval = ctx;
-  eval.training = false;
-
-  // One forward pass caches activations; each class seed then
-  // backpropagates through the same cache.
+  const Context eval = attack_context(ctx);
   (void)model.forward(x, eval);
-  const std::int64_t d = x.numel();
-  Tensor jacobian({classes, d});
-  for (std::int64_t j = 0; j < classes; ++j) {
-    Tensor seed({std::int64_t{1}, classes});
-    seed.raw()[j] = 1.f;
-    model.zero_grads();
-    Tensor dx = model.backward_from_logits(seed, eval);
-    std::memcpy(jacobian.raw() + j * d, dx.raw(),
-                static_cast<std::size_t>(d) * sizeof(float));
-  }
-  return jacobian;
+  return cached_jacobian(model, classes, eval);
 }
 
 AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
@@ -144,8 +148,7 @@ AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
             "attack expects a single [1, C, H, W] sample");
   DLB_CHECK(options.theta > 0.f, "theta must be positive");
 
-  Context eval = ctx;
-  eval.training = false;
+  const Context eval = attack_context(ctx);
 
   AttackOutcome outcome;
   runtime::Stopwatch clock;
@@ -171,6 +174,7 @@ AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
             "JSMA target " << target << " out of range [0, " << classes
                            << ")");
   outcome.source_class = tensor::argmax_row(logits, 0);
+  outcome.final_class = outcome.source_class;
   if (outcome.source_class == target) {
     // Already the target class; trivially successful, zero distortion.
     outcome.success = true;
@@ -181,7 +185,9 @@ AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
   }
 
   for (int it = 0; it < max_iterations; ++it) {
-    Tensor jac = logit_jacobian(model, adv, classes, eval);
+    // The model's cache holds the forward of `adv` as it stands: the
+    // classification above, or the previous iteration's check below.
+    Tensor jac = cached_jacobian(model, classes, eval);
     const float* J = jac.raw();
     float* px = adv.raw();
 
@@ -208,7 +214,8 @@ AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
     px[best] = std::min(1.f, px[best] + options.theta);
     outcome.iterations = it + 1;
 
-    const std::int64_t pred = predict_one(model, adv, eval);
+    const std::int64_t pred =
+        tensor::argmax_row(model.forward(adv, eval), 0);
     outcome.final_class = pred;
     if (pred == target) {
       outcome.success = true;

@@ -6,10 +6,13 @@
 //  * FGSM (Goodfellow et al.): untargeted, x' = x + eps*sign(dL/dx).
 //    Exposed both as the paper's one-shot formula and as the iterated
 //    variant (apply-until-misclassified) used for the Fig 8 sweeps.
-//  * JSMA (Papernot et al.): targeted. Builds the logit Jacobian by
-//    backpropagating each class seed through the model, scores input
-//    features with the saliency map of the paper's Equation (2), and
-//    perturbs the highest-saliency feature per iteration.
+//  * JSMA (Papernot et al.): targeted. Builds the logit Jacobian with
+//    one backward pass of all class seeds stacked as cotangents, scores
+//    input features with the saliency map of the paper's Equation (2),
+//    and perturbs the highest-saliency feature per iteration.
+//
+// Both attacks differentiate with Context::param_grads off: only the
+// input gradient is computed, and no parameter gradient is touched.
 
 #include <array>
 #include <cstdint>
@@ -81,13 +84,19 @@ struct JsmaOptions {
 };
 
 /// Targeted JSMA: perturbs `x` until the model classifies it as
-/// `target` or the distortion budget runs out.
+/// `target` or the distortion budget runs out. Each iteration's
+/// classifying forward also serves the next iteration's Jacobian.
+/// `final_class` is the prediction on the returned example, so it is
+/// the source class when the saliency map is empty from the start.
 AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
                           std::int64_t target, const JsmaOptions& options,
                           const Context& ctx);
 
 /// Logit Jacobian at x: row j holds d logit_j / d x (flattened input).
-/// One forward pass plus `classes` backward passes.
+/// One forward pass plus one backward pass of the classes x classes
+/// identity, stacked as `classes` cotangents over the cached batch-1
+/// forward (Sequential::backward_from_logits); each row is bitwise
+/// equal to a separate backward of its one-hot seed.
 Tensor logit_jacobian(Sequential& model, const Tensor& x,
                       std::int64_t classes, const Context& ctx);
 

@@ -17,21 +17,14 @@ namespace {
 
 using runtime::trace::Span;
 
-/// One worker's share of a sweep: clone the model once, then walk the
-/// strided unit set. The replica clone happens *inside* the worker task
-/// so replicas materialize concurrently and on the thread that uses
-/// them.
-void run_worker(const nn::Sequential& model, const nn::Context& ctx,
+/// One worker's share of a sweep: walk the strided unit set on the
+/// worker's own replica.
+void run_worker(nn::Sequential& replica, const nn::Context& ctx,
                 std::int64_t unit_count, std::int64_t worker,
                 std::int64_t stride,
                 const std::function<double(nn::Sequential&, const nn::Context&,
                                            std::int64_t)>& attack,
                 runtime::LatencyHistogram& craft_time) {
-  nn::Sequential replica;
-  {
-    Span span("attack/replicate", "attack");
-    replica = model.clone();
-  }
   for (std::int64_t unit = worker; unit < unit_count; unit += stride) {
     Span span("attack/unit", "attack");
     const double craft_s = attack(replica, ctx, unit);
@@ -63,9 +56,22 @@ CraftTiming craft_units(
   runtime::Stopwatch clock;
   std::vector<runtime::LatencyHistogram> histograms(
       static_cast<std::size_t>(n_workers));
+  // Replicas are cloned here, on the calling thread, before dispatch,
+  // and die here after the join: their weight buffers then come from
+  // and return to this thread's malloc arena. Cloned inside a pool
+  // worker, each one would grow that worker's glibc per-thread arena,
+  // which keeps the memory after the replica is freed (DESIGN.md §12).
+  std::vector<nn::Sequential> replicas;
+  replicas.reserve(static_cast<std::size_t>(n_workers));
+  {
+    Span span("attack/replicate", "attack");
+    for (std::int64_t w = 0; w < n_workers; ++w)
+      replicas.push_back(model.clone());
+  }
 
   if (n_workers == 1) {
-    run_worker(model, unit_ctx, unit_count, 0, 1, attack, histograms[0]);
+    run_worker(replicas[0], unit_ctx, unit_count, 0, 1, attack,
+               histograms[0]);
   } else {
     // Completion latch, mirroring ThreadPool::parallel_for_ranges: the
     // counter is decremented under the lock so the waiter cannot
@@ -79,7 +85,8 @@ CraftTiming craft_units(
       pool.submit([&, w] {
         std::exception_ptr error;
         try {
-          run_worker(model, unit_ctx, unit_count, w, n_workers, attack,
+          run_worker(replicas[static_cast<std::size_t>(w)], unit_ctx,
+                     unit_count, w, n_workers, attack,
                      histograms[static_cast<std::size_t>(w)]);
         } catch (...) {
           error = std::current_exception();

@@ -17,7 +17,9 @@
 // (Sequential::clone — same weights, private caches), mirroring the
 // FrozenModel replica pattern from serve/ for mutable models. Replica
 // memory cost is one full parameter+gradient set per worker (see
-// DESIGN.md §12), negligible next to the Jacobian work per unit.
+// DESIGN.md §12), negligible next to the Jacobian work per unit. Attacks
+// run backward with Context::param_grads off, so the gradient buffers
+// stay zero and untouched.
 //
 // Determinism contract: parallel sweeps produce **bitwise-identical**
 // result tables to serial at any thread count. Three mechanisms:
@@ -65,7 +67,8 @@ struct CraftTiming {
 
 /// Runs `attack(replica, ctx, unit)` for every unit in [0, unit_count)
 /// across `threads` workers fanned over runtime::global_pool(). Worker
-/// w owns a private clone of `model` and processes units w, w+T,
+/// w owns a private clone of `model` (cloned on the calling thread
+/// before dispatch) and processes units w, w+T,
 /// w+2T, … — assignment is load-balancing only; nothing about the
 /// results may depend on it (see determinism contract above). `ctx` is
 /// forwarded to the attack with its device replaced by the serial

@@ -1,6 +1,7 @@
 #include "nn/conv_direct.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -18,6 +19,13 @@ Conv2dDirect::Conv2dDirect(tensor::ConvGeom geom, tensor::InitKind init,
   tensor::initialize(weight_, init, geom.patch_size(),
                      geom.out_c * geom.kernel * geom.kernel, rng);
 }
+
+Conv2dDirect::Conv2dDirect(tensor::ConvGeom geom, Tensor weight, Tensor bias)
+    : geom_(geom),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)),
+      dweight_(weight_.shape()),
+      dbias_(bias_.shape()) {}
 
 std::string Conv2dDirect::describe() const {
   std::ostringstream os;
@@ -88,10 +96,14 @@ Tensor conv2d_direct_forward(const Tensor& x, const Tensor& weight,
 Tensor Conv2dDirect::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "Conv2dDirect::backward before forward");
   const Tensor& x = cached_input_;
-  const std::int64_t n = x.dim(0);
+  // dx depends on dy and W alone, so stacked cotangents run as a batch
+  // of k*N samples; x is read only for dW, which needs a single block.
+  const std::int64_t n =
+      cotangent_blocks(dy, x.dim(0), ctx) * x.dim(0);
+  const bool param_grads = ctx.param_grads;
   const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
   const std::int64_t k = geom_.kernel;
-  Tensor dx(x.shape());
+  Tensor dx(x.shape().with_batch(n));
 
   const float* px = x.raw();
   const float* pw = weight_.raw();
@@ -107,7 +119,7 @@ Tensor Conv2dDirect::backward(const Tensor& dy, const Context& ctx) {
   // implementation (its slowness on CPU is the phenomenon under study);
   // parallel batches would also race on dweight_.
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* xin = px + i * in_sz;
+    const float* xin = param_grads ? px + i * in_sz : nullptr;
     const float* dyo = pdy + i * out_sz;
     float* dxin = pdx + i * in_sz;
     for (std::int64_t oc = 0; oc < geom_.out_c; ++oc) {
@@ -117,7 +129,7 @@ Tensor Conv2dDirect::backward(const Tensor& dy, const Context& ctx) {
         for (std::int64_t x0 = 0; x0 < ow; ++x0) {
           const float g = dyo[(oc * oh + y0) * ow + x0];
           if (g == 0.f) continue;
-          pdb[oc] += g;
+          if (param_grads) pdb[oc] += g;
           for (std::int64_t ic = 0; ic < geom_.in_c; ++ic) {
             for (std::int64_t ky = 0; ky < k; ++ky) {
               const std::int64_t iy = y0 * geom_.stride + ky - geom_.pad;
@@ -126,7 +138,7 @@ Tensor Conv2dDirect::backward(const Tensor& dy, const Context& ctx) {
                 const std::int64_t ix = x0 * geom_.stride + kx - geom_.pad;
                 if (ix < 0 || ix >= geom_.in_w) continue;
                 const std::int64_t xi = ic * in_plane + iy * geom_.in_w + ix;
-                dwk[(ic * k + ky) * k + kx] += g * xin[xi];
+                if (param_grads) dwk[(ic * k + ky) * k + kx] += g * xin[xi];
                 dxin[xi] += g * wk[(ic * k + ky) * k + kx];
               }
             }
@@ -135,17 +147,11 @@ Tensor Conv2dDirect::backward(const Tensor& dy, const Context& ctx) {
       }
     }
   }
-  (void)ctx;
   return dx;
 }
 
 LayerPtr Conv2dDirect::clone() const {
-  util::Rng scratch(0);  // throwaway init, overwritten below
-  auto copy = std::make_unique<Conv2dDirect>(
-      geom_, tensor::InitKind::kXavierUniform, scratch);
-  copy->weight_ = weight_.clone();
-  copy->bias_ = bias_.clone();
-  return copy;
+  return LayerPtr(new Conv2dDirect(geom_, weight_.clone(), bias_.clone()));
 }
 
 }  // namespace dlbench::nn

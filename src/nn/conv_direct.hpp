@@ -34,6 +34,8 @@ class Conv2dDirect final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  Conv2dDirect(tensor::ConvGeom geom, Tensor weight, Tensor bias);  // clone()
+
   tensor::ConvGeom geom_;
   Tensor weight_, bias_, dweight_, dbias_;
   Tensor cached_input_;

@@ -27,6 +27,8 @@
 //    belongs outside the steady state, e.g. in the constructor or the
 //    first (warmup) steps.
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,6 +47,9 @@ struct Context {
   Device device = Device::cpu();
   bool training = false;
   util::Rng* rng = nullptr;  // required when training with Dropout
+  /// False: backward computes dL/dx only and leaves every parameter
+  /// gradient untouched (attacks differentiate w.r.t. the input alone).
+  bool param_grads = true;
 };
 
 class Layer;
@@ -71,7 +76,12 @@ class Layer {
   virtual Tensor forward(const Tensor& x, const Context& ctx) = 0;
 
   /// Given dL/dy, accumulates parameter gradients and returns dL/dx.
-  /// Must be called after a matching forward().
+  /// Must be called after a matching forward() of N rows. With
+  /// ctx.param_grads off no parameter gradient is touched, and `dy` may
+  /// stack k >= 1 cotangents as k*N rows: block b (rows [b*N, (b+1)*N))
+  /// is an independent cotangent against the same cached forward, and
+  /// block b of dL/dx is bitwise equal to a separate backward of that
+  /// block alone. A stacked `dy` with param_grads on throws.
   virtual Tensor backward(const Tensor& dy, const Context& ctx) = 0;
 
   /// Parameter tensors (empty for stateless layers). Order is stable
@@ -90,6 +100,18 @@ class Layer {
     for (Tensor* p : params()) n += p->numel();
     return n;
   }
+
+ protected:
+  /// Number of cotangents stacked in `dy` against a forward of `rows`
+  /// rows; enforces the backward() contract above.
+  static std::int64_t cotangent_blocks(const Tensor& dy, std::int64_t rows,
+                                       const Context& ctx);
+
+  /// Runs `one` (a backward over `rows` rows) on each stacked block of
+  /// `dy` and stacks the results; a single block goes straight through.
+  static Tensor per_block(const Tensor& dy, std::int64_t rows,
+                          const Context& ctx,
+                          const std::function<Tensor(const Tensor&)>& one);
 };
 
 }  // namespace dlbench::nn

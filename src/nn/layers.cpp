@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -23,6 +24,13 @@ Conv2d::Conv2d(tensor::ConvGeom geom, tensor::InitKind init, util::Rng& rng)
                      geom.out_c * geom.kernel * geom.kernel, rng);
 }
 
+Conv2d::Conv2d(tensor::ConvGeom geom, Tensor weight, Tensor bias)
+    : geom_(geom),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)),
+      dweight_(weight_.shape()),
+      dbias_(bias_.shape()) {}
+
 std::string Conv2d::describe() const {
   std::ostringstream os;
   os << "conv" << geom_.kernel << "x" << geom_.kernel << " " << geom_.in_c
@@ -39,6 +47,9 @@ Tensor Conv2d::forward(const Tensor& x, const Context& ctx) {
 
 Tensor Conv2d::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "Conv2d::backward before forward");
+  cotangent_blocks(dy, cached_input_.dim(0), ctx);
+  if (!ctx.param_grads)
+    return tensor::conv2d_backward_dx(weight_, dy, geom_, ctx.device);
   auto g = tensor::conv2d_backward(cached_input_, weight_, dy, geom_,
                                    ctx.device);
   tensor::add_inplace(dweight_, g.dweight, ctx.device);
@@ -61,6 +72,14 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features,
   tensor::initialize(weight_, init, in_features, out_features, rng);
 }
 
+Linear::Linear(Tensor weight, Tensor bias)
+    : in_(weight.dim(0)),
+      out_(weight.dim(1)),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)),
+      dweight_(weight_.shape()),
+      dbias_(bias_.shape()) {}
+
 std::string Linear::describe() const {
   std::ostringstream os;
   os << "fc " << in_ << "->" << out_;
@@ -77,12 +96,16 @@ Tensor Linear::forward(const Tensor& x, const Context& ctx) {
 
 Tensor Linear::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "Linear::backward before forward");
-  // dW[in, out] = x^T [in, N] * dy [N, out]
-  Tensor dw = tensor::matmul_tn(cached_input_, dy, ctx.device);
-  tensor::add_inplace(dweight_, dw, ctx.device);
-  Tensor db = tensor::column_sums(dy, ctx.device);
-  tensor::add_inplace(dbias_, db, ctx.device);
-  // dx[N, in] = dy [N, out] * W^T [out, in]
+  cotangent_blocks(dy, cached_input_.dim(0), ctx);
+  if (ctx.param_grads) {
+    // dW[in, out] = x^T [in, N] * dy [N, out]
+    Tensor dw = tensor::matmul_tn(cached_input_, dy, ctx.device);
+    tensor::add_inplace(dweight_, dw, ctx.device);
+    Tensor db = tensor::column_sums(dy, ctx.device);
+    tensor::add_inplace(dbias_, db, ctx.device);
+  }
+  // dx[N, in] = dy [N, out] * W^T [out, in]; every GEMM row is its own
+  // full-K chain, so stacked rows match separate calls bitwise.
   return tensor::matmul_nt(dy, weight_, ctx.device);
 }
 
@@ -100,6 +123,14 @@ LinearReLU::LinearReLU(std::int64_t in_features, std::int64_t out_features,
             "LinearReLU dims must be positive");
   tensor::initialize(weight_, init, in_features, out_features, rng);
 }
+
+LinearReLU::LinearReLU(Tensor weight, Tensor bias)
+    : in_(weight.dim(0)),
+      out_(weight.dim(1)),
+      weight_(std::move(weight)),
+      bias_(std::move(bias)),
+      dweight_(weight_.shape()),
+      dbias_(bias_.shape()) {}
 
 std::string LinearReLU::describe() const {
   std::ostringstream os;
@@ -119,11 +150,15 @@ Tensor LinearReLU::forward(const Tensor& x, const Context& ctx) {
 Tensor LinearReLU::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "LinearReLU::backward before forward");
   // The cached output is a valid ReLU mask: y > 0 iff pre-activation > 0.
-  Tensor dz = tensor::relu_backward(cached_output_, dy, ctx.device);
-  Tensor dw = tensor::matmul_tn(cached_input_, dz, ctx.device);
-  tensor::add_inplace(dweight_, dw, ctx.device);
-  Tensor db = tensor::column_sums(dz, ctx.device);
-  tensor::add_inplace(dbias_, db, ctx.device);
+  Tensor dz = per_block(dy, cached_input_.dim(0), ctx, [&](const Tensor& b) {
+    return tensor::relu_backward(cached_output_, b, ctx.device);
+  });
+  if (ctx.param_grads) {
+    Tensor dw = tensor::matmul_tn(cached_input_, dz, ctx.device);
+    tensor::add_inplace(dweight_, dw, ctx.device);
+    Tensor db = tensor::column_sums(dz, ctx.device);
+    tensor::add_inplace(dbias_, db, ctx.device);
+  }
   return tensor::matmul_nt(dz, weight_, ctx.device);
 }
 
@@ -142,7 +177,11 @@ Tensor MaxPool2d::forward(const Tensor& x, const Context& ctx) {
 
 Tensor MaxPool2d::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!argmax_.empty(), "MaxPool2d::backward before forward");
-  return tensor::maxpool_backward(dy, geom_, argmax_, ctx.device);
+  const auto rows = static_cast<std::int64_t>(argmax_.size()) /
+                    (geom_.channels * geom_.out_h() * geom_.out_w());
+  return per_block(dy, rows, ctx, [&](const Tensor& b) {
+    return tensor::maxpool_backward(b, geom_, argmax_, ctx.device);
+  });
 }
 
 std::string AvgPool2d::describe() const {
@@ -153,10 +192,14 @@ std::string AvgPool2d::describe() const {
 }
 
 Tensor AvgPool2d::forward(const Tensor& x, const Context& ctx) {
+  rows_ = x.dim(0);
   return tensor::avgpool_forward(x, geom_, ctx.device);
 }
 
 Tensor AvgPool2d::backward(const Tensor& dy, const Context& ctx) {
+  // Caches nothing but the row count: each sample's plane is spread
+  // independently, so a stacked dy runs as one batch.
+  cotangent_blocks(dy, rows_, ctx);
   return tensor::avgpool_backward(dy, geom_, ctx.device);
 }
 
@@ -169,7 +212,9 @@ Tensor ReLU::forward(const Tensor& x, const Context& ctx) {
 
 Tensor ReLU::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "ReLU::backward before forward");
-  return tensor::relu_backward(cached_input_, dy, ctx.device);
+  return per_block(dy, cached_input_.dim(0), ctx, [&](const Tensor& b) {
+    return tensor::relu_backward(cached_input_, b, ctx.device);
+  });
 }
 
 Tensor Tanh::forward(const Tensor& x, const Context& ctx) {
@@ -179,7 +224,9 @@ Tensor Tanh::forward(const Tensor& x, const Context& ctx) {
 
 Tensor Tanh::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_output_.empty(), "Tanh::backward before forward");
-  return tensor::tanh_backward(cached_output_, dy, ctx.device);
+  return per_block(dy, cached_output_.dim(0), ctx, [&](const Tensor& b) {
+    return tensor::tanh_backward(cached_output_, b, ctx.device);
+  });
 }
 
 // ---- dropout ----
@@ -195,6 +242,7 @@ std::string Dropout::describe() const {
 }
 
 Tensor Dropout::forward(const Tensor& x, const Context& ctx) {
+  rows_ = x.dim(0);
   if (!ctx.training || p_ == 0.f) {
     mask_valid_ = false;
     return x;
@@ -212,8 +260,13 @@ Tensor Dropout::forward(const Tensor& x, const Context& ctx) {
 }
 
 Tensor Dropout::backward(const Tensor& dy, const Context& ctx) {
-  if (!mask_valid_) return dy;
-  return tensor::mul(dy, mask_, ctx.device);
+  if (!mask_valid_) {
+    cotangent_blocks(dy, rows_, ctx);
+    return dy;
+  }
+  return per_block(dy, rows_, ctx, [&](const Tensor& b) {
+    return tensor::mul(b, mask_, ctx.device);
+  });
 }
 
 // ---- local response normalization ----
@@ -291,6 +344,12 @@ Tensor lrn_forward(const Tensor& x, std::int64_t radius, float k, float alpha,
 
 Tensor LocalResponseNorm::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "LRN::backward before forward");
+  return per_block(dy, cached_input_.dim(0), ctx,
+                   [&](const Tensor& b) { return backward_block(b, ctx); });
+}
+
+Tensor LocalResponseNorm::backward_block(const Tensor& dy,
+                                         const Context& ctx) const {
   const Tensor& x = cached_input_;
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t hw = h * w;
@@ -341,48 +400,30 @@ Tensor Flatten::forward(const Tensor& x, const Context&) {
   return x.reshape(Shape({n, x.numel() / n}));
 }
 
-Tensor Flatten::backward(const Tensor& dy, const Context&) {
+Tensor Flatten::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(input_shape_.rank() != 0, "Flatten::backward before forward");
-  return dy.reshape(input_shape_);
+  const std::int64_t rows = input_shape_.dim(0);
+  return dy.reshape(
+      input_shape_.with_batch(cotangent_blocks(dy, rows, ctx) * rows));
 }
 
 // ---- clone ----
 //
-// Parameterized layers rebuild through their own constructor (throwaway
-// init, immediately overwritten) and then deep-copy the weights; the
-// ctor already gives them zeroed gradient buffers and empty caches,
-// which is exactly the "fresh layer, same weights" contract.
-
-namespace {
-util::Rng& clone_init_rng() {
-  // Scratch stream for the overwritten init; never observable.
-  thread_local util::Rng rng(0);
-  return rng;
-}
-}  // namespace
+// Parameterized layers rebuild through their weight-taking constructor
+// from deep copies of the weights; it gives them zeroed gradient
+// buffers and empty caches, which is exactly the "fresh layer, same
+// weights" contract.
 
 LayerPtr Conv2d::clone() const {
-  auto copy = std::make_unique<Conv2d>(geom_, tensor::InitKind::kXavierUniform,
-                                       clone_init_rng());
-  copy->weight_ = weight_.clone();
-  copy->bias_ = bias_.clone();
-  return copy;
+  return LayerPtr(new Conv2d(geom_, weight_.clone(), bias_.clone()));
 }
 
 LayerPtr Linear::clone() const {
-  auto copy = std::make_unique<Linear>(
-      in_, out_, tensor::InitKind::kXavierUniform, clone_init_rng());
-  copy->weight_ = weight_.clone();
-  copy->bias_ = bias_.clone();
-  return copy;
+  return LayerPtr(new Linear(weight_.clone(), bias_.clone()));
 }
 
 LayerPtr LinearReLU::clone() const {
-  auto copy = std::make_unique<LinearReLU>(
-      in_, out_, tensor::InitKind::kXavierUniform, clone_init_rng());
-  copy->weight_ = weight_.clone();
-  copy->bias_ = bias_.clone();
-  return copy;
+  return LayerPtr(new LinearReLU(weight_.clone(), bias_.clone()));
 }
 
 LayerPtr MaxPool2d::clone() const { return std::make_unique<MaxPool2d>(geom_); }

@@ -35,6 +35,8 @@ class Conv2d final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  Conv2d(tensor::ConvGeom geom, Tensor weight, Tensor bias);  // clone()
+
   tensor::ConvGeom geom_;
   Tensor weight_, bias_, dweight_, dbias_;
   Tensor cached_input_;
@@ -59,6 +61,8 @@ class Linear final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  Linear(Tensor weight, Tensor bias);  // clone()
+
   std::int64_t in_, out_;
   Tensor weight_, bias_, dweight_, dbias_;
   Tensor cached_input_;
@@ -89,6 +93,8 @@ class LinearReLU final : public Layer {
   const Tensor& bias() const { return bias_; }
 
  private:
+  LinearReLU(Tensor weight, Tensor bias);  // clone()
+
   std::int64_t in_, out_;
   Tensor weight_, bias_, dweight_, dbias_;
   Tensor cached_input_, cached_output_;
@@ -125,6 +131,7 @@ class AvgPool2d final : public Layer {
 
  private:
   tensor::PoolGeom geom_;
+  std::int64_t rows_ = 0;  // of the last forward
 };
 
 /// ReLU activation.
@@ -168,6 +175,7 @@ class Dropout final : public Layer {
   float p_;
   Tensor mask_;
   bool mask_valid_ = false;
+  std::int64_t rows_ = 0;  // of the last forward
 };
 
 /// Cross-channel local response normalization (TF CIFAR-10 tutorial's
@@ -188,6 +196,8 @@ class LocalResponseNorm final : public Layer {
   float beta() const { return beta_; }
 
  private:
+  Tensor backward_block(const Tensor& dy, const Context& ctx) const;
+
   std::int64_t radius_;
   float k_, alpha_, beta_;
   Tensor cached_input_, cached_scale_;  // scale = k + alpha * window sum

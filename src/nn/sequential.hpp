@@ -40,7 +40,8 @@ class Sequential {
   /// bitwise-identical to the original (same weights, same kernels)
   /// but safe to run on another thread — the adversarial crafting
   /// engine builds one replica per worker this way, mirroring the
-  /// FrozenModel replica pattern from serve/ for mutable models.
+  /// FrozenModel replica pattern from serve/ for mutable models. A
+  /// replica starts with zeroed gradients and empty caches.
   Sequential clone() const;
 
   /// Plain forward pass, logits out.
@@ -58,8 +59,14 @@ class Sequential {
                   const std::vector<std::int64_t>& labels,
                   const Context& ctx);
 
-  /// Backpropagates an arbitrary logit-space gradient (used by the
-  /// adversarial module to differentiate single logits for JSMA).
+  /// Backpropagates an arbitrary logit-space gradient through the
+  /// activations cached by the last forward (N rows) and returns
+  /// dL/dinput. Under ctx.param_grads off, no parameter gradient is
+  /// touched and `dlogits` may stack k cotangents as k*N rows; block b
+  /// of the result is bitwise equal to a separate backward of block b
+  /// (Layer::backward). The adversarial module seeds the classes x
+  /// classes identity this way to get the whole logit Jacobian from
+  /// one pass.
   Tensor backward_from_logits(const Tensor& dlogits, const Context& ctx);
 
   /// All parameters / gradients across layers, in layer order.

@@ -140,6 +140,30 @@ void check_conv_args(const Tensor& x, const Tensor& weight,
             "conv output is empty for input " << g.in_h << "x" << g.in_w);
 }
 
+// Wᵀ packed as the A operand of every sample's dcolumns GEMM, once, on
+// the owner thread (arena-backed under a plan); workers only read it.
+Tensor pack_weight_t(const Tensor& weight, const ConvGeom& g,
+                     const Device& dev) {
+  const std::int64_t patch = g.patch_size();
+  Tensor wt_panels =
+      Tensor::uninit(Shape({gemm_row_panels(patch) * g.out_c * kGemmMR}));
+  pack_a_panels(weight.raw(), 1, patch, patch, g.out_c, wt_panels.raw(), dev);
+  return wt_panels;
+}
+
+// One sample's input gradient, shared by both backward entry points so
+// their dx bits agree: dcolumns[p, :] = Wᵀ · dy_i on the packed kernel
+// (A = Wᵀ (1, patch), B = dy_i (ohw, 1), serial inside a batch chunk —
+// the pool is never re-entered), then col2im, which fully overwrites
+// the sample's dx region.
+void sample_dx(const float* wt_packed, const float* dyo, const ConvGeom& g,
+               float* dcolumns, float* dx) {
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  gemm_prepacked_a(wt_packed, dyo, ohw, 1, dcolumns, g.patch_size(), g.out_c,
+                   ohw, GemmEpilogue::kNone, nullptr, Device::cpu());
+  col2im(dcolumns, g, dx);
+}
+
 }  // namespace
 
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
@@ -233,20 +257,16 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
   ConvGrads grads{Tensor::uninit(x.shape()), Tensor(weight.shape()),
                   Tensor({g.out_c})};
   const float* px = x.raw();
-  const float* pw = weight.raw();
   const float* pdy = dy.raw();
   float* pdx = grads.dx.raw();
   const std::int64_t in_sz = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_sz = g.out_c * ohw;
 
-  // Both backward GEMMs of a sample run on the packed micro-kernels
-  // (serial inside a batch chunk — the pool is never re-entered):
-  //   dW_s[oc, p]   = dy_i · columns^T   A = dy_i (ohw, 1),
-  //                                      B = columns^T (1, ohw)
-  //   dcolumns[p,:] = W^T · dy_i         A = W^T (1, patch),
-  //                                      B = dy_i (ohw, 1)
-  // dW_s is a per-sample scratch accumulated into the chunk partial so
-  // the cross-sample += order stays the chunk's sample order.
+  // dW_s[oc, p] = dy_i · columnsᵀ runs on the packed micro-kernel
+  // (A = dy_i (ohw, 1), B = columnsᵀ (1, ohw)), serial inside a batch
+  // chunk like sample_dx. dW_s is a per-sample scratch accumulated into
+  // the chunk partial so the cross-sample += order stays the chunk's
+  // sample order.
   const Device serial = Device::cpu();
   const std::size_t col_floats = static_cast<std::size_t>(patch * ohw);
   const std::size_t dw_floats = static_cast<std::size_t>(g.out_c * patch);
@@ -260,11 +280,7 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
     owner_dcols = Tensor::uninit(Shape({patch * ohw}));
     owner_dw = Tensor::uninit(Shape({g.out_c * patch}));
   }
-  // Wᵀ is the A operand of every sample's dcolumns GEMM: packed once on
-  // the owner thread, as in conv2d_forward.
-  Tensor wt_panels =
-      Tensor::uninit(Shape({gemm_row_panels(patch) * g.out_c * kGemmMR}));
-  pack_a_panels(pw, 1, patch, patch, g.out_c, wt_panels.raw(), dev);
+  const Tensor wt_panels = pack_weight_t(weight, g, dev);
   const float* pwt_packed = wt_panels.raw();
 
   // Per-chunk weight/bias partials, merged serially in chunk order after
@@ -304,9 +320,8 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
           gemm_packed(dyo, ohw, 1, columns, 1, ohw, dw_s, g.out_c, ohw,
                       patch, GemmEpilogue::kNone, nullptr, serial);
           for (std::size_t k = 0; k < dw_floats; ++k) local_dw[k] += dw_s[k];
-          gemm_prepacked_a(pwt_packed, dyo, ohw, 1, dcolumns, patch, g.out_c,
-                           ohw, GemmEpilogue::kNone, nullptr, serial);
-          col2im(dcolumns, g, pdx + static_cast<std::int64_t>(i) * in_sz);
+          sample_dx(pwt_packed, dyo, g, dcolumns,
+                    pdx + static_cast<std::int64_t>(i) * in_sz);
         }
 
         // Pack dW then db into one buffer keyed by the chunk's first
@@ -328,6 +343,42 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
       gb[k] += local[dw_size + k];
   }
   return grads;
+}
+
+Tensor conv2d_backward_dx(const Tensor& weight, const Tensor& dy,
+                          const ConvGeom& g, const Device& dev) {
+  runtime::trace::Span span("conv2d_bwd_dx", "kernel");
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  DLB_CHECK(dy.shape().rank() == 4 && dy.dim(1) == g.out_c &&
+                dy.dim(2) == oh && dy.dim(3) == ow,
+            "conv dy shape " << dy.shape().to_string() << " unexpected");
+  const std::int64_t n = dy.dim(0);
+  const std::int64_t in_sz = g.in_c * g.in_h * g.in_w;
+  const std::int64_t out_sz = g.out_c * oh * ow;
+  // uninit: sample_dx fully overwrites each sample's region.
+  Tensor dx = Tensor::uninit(Shape({n, g.in_c, g.in_h, g.in_w}));
+  const Tensor wt_panels = pack_weight_t(weight, g, dev);
+  const float* pwt_packed = wt_panels.raw();
+  const float* pdy = dy.raw();
+  float* pdx = dx.raw();
+  const std::int64_t col_floats = g.patch_size() * oh * ow;
+  const bool inline_exec = !dev.is_parallel();
+  Tensor owner_dcols;
+  if (inline_exec) owner_dcols = Tensor::uninit(Shape({col_floats}));
+
+  dev.parallel_for(
+      static_cast<std::size_t>(n),
+      [&](std::size_t lo, std::size_t hi) {
+        float* dcolumns =
+            inline_exec ? owner_dcols.raw()
+                        : worker_scratch(kDColumns,
+                                         static_cast<std::size_t>(col_floats));
+        for (std::size_t i = lo; i < hi; ++i)
+          sample_dx(pwt_packed, pdy + static_cast<std::int64_t>(i) * out_sz, g,
+                    dcolumns, pdx + static_cast<std::int64_t>(i) * in_sz);
+      },
+      1);
+  return dx;
 }
 
 }  // namespace dlbench::tensor

@@ -53,4 +53,11 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
                           const Tensor& dy, const ConvGeom& g,
                           const runtime::Device& dev);
 
+/// Input gradient only: dx = col2im(Wᵀ · dy) per row of dy, bitwise
+/// equal to conv2d_backward's dx. dx does not depend on the forward
+/// input, so there is no im2col and no dW GEMM, and dy may hold any
+/// number of rows (stacked cotangents, nn/layer.hpp).
+Tensor conv2d_backward_dx(const Tensor& weight, const Tensor& dy,
+                          const ConvGeom& g, const runtime::Device& dev);
+
 }  // namespace dlbench::tensor

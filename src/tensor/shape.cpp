@@ -27,6 +27,13 @@ std::int64_t Shape::numel() const {
   return n;
 }
 
+Shape Shape::with_batch(std::int64_t n) const {
+  DLB_CHECK(rank_ >= 1 && n >= 0, "with_batch(" << n << ") on rank " << rank_);
+  Shape out = *this;
+  out.dims_[0] = n;
+  return out;
+}
+
 bool Shape::operator==(const Shape& other) const {
   if (rank_ != other.rank_) return false;
   for (int i = 0; i < rank_; ++i)

@@ -27,6 +27,9 @@ class Shape {
   /// Product of all dimensions (1 for rank-0).
   std::int64_t numel() const;
 
+  /// This shape with dimension 0 (the batch) replaced by `n`.
+  Shape with_batch(std::int64_t n) const;
+
   bool operator==(const Shape& other) const;
   bool operator!=(const Shape& other) const { return !(*this == other); }
 

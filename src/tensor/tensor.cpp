@@ -111,6 +111,19 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return view;
 }
 
+Tensor Tensor::rows(std::int64_t first, std::int64_t count) const {
+  DLB_CHECK(shape_.rank() >= 1 && first >= 0 && count >= 0 &&
+                first + count <= shape_.dim(0),
+            "rows [" << first << ", " << first + count << ") of "
+                     << shape_.to_string());
+  const std::int64_t row = shape_.dim(0) == 0 ? 0 : numel() / shape_.dim(0);
+  Tensor view;
+  view.shape_ = shape_.with_batch(count);
+  // Aliasing constructor: shares ownership of the whole buffer.
+  view.data_ = std::shared_ptr<float[]>(data_, data_.get() + first * row);
+  return view;
+}
+
 void Tensor::fill(float value) {
   std::fill_n(data_.get(), static_cast<std::size_t>(numel()), value);
 }

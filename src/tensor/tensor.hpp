@@ -49,7 +49,9 @@ class Tensor {
   const Shape& shape() const { return shape_; }
   std::int64_t numel() const { return shape_.numel(); }
   std::int64_t dim(int i) const { return shape_.dim(i); }
-  bool empty() const { return numel() == 0; }
+  /// True for a default-constructed handle (no buffer; its rank-0
+  /// shape would count one element) and for zero-element shapes.
+  bool empty() const { return data_ == nullptr || numel() == 0; }
 
   /// Mutable / const access to the flat buffer.
   std::span<float> data();
@@ -67,6 +69,10 @@ class Tensor {
   /// Returns a tensor sharing this storage under a new shape with the
   /// same element count.
   Tensor reshape(Shape new_shape) const;
+
+  /// Rows [first, first + count) along dimension 0, sharing this
+  /// storage (a contiguous sub-block, so still a plain tensor).
+  Tensor rows(std::int64_t first, std::int64_t count) const;
 
   /// Sets every element to `value`.
   void fill(float value);

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "adversarial/attacks.hpp"
 #include "util/error.hpp"
@@ -158,6 +160,59 @@ TEST(Jacobian, MatchesNumericDifferentiation) {
   }
 }
 
+// The Jacobian the stacked pass replaces: one forward, then one batch-1
+// backward per one-hot class seed, with parameter gradients on.
+tensor::Tensor per_class_jacobian(nn::Sequential& model,
+                                  const tensor::Tensor& x,
+                                  std::int64_t classes, const Device& device) {
+  Context ctx;
+  ctx.device = device;
+  (void)model.forward(x, ctx);
+  const std::int64_t d = x.numel();
+  tensor::Tensor jacobian(Shape({classes, d}));
+  for (std::int64_t j = 0; j < classes; ++j) {
+    tensor::Tensor seed(Shape({1, classes}));
+    seed.raw()[j] = 1.f;
+    model.zero_grads();
+    tensor::Tensor dx = model.backward_from_logits(seed, ctx);
+    std::memcpy(jacobian.raw() + j * d, dx.raw(),
+                static_cast<std::size_t>(d) * sizeof(float));
+  }
+  return jacobian;
+}
+
+// Every default network, with the direct conv (Torch on the serial
+// device) and the GEMM conv (the parallel device), row for row.
+TEST(Jacobian, StackedRowsMatchPerClassBackward) {
+  for (FrameworkKind kind : {FrameworkKind::kTensorFlow, FrameworkKind::kCaffe,
+                             FrameworkKind::kTorch}) {
+    for (DatasetId dataset : {DatasetId::kMnist, DatasetId::kCifar10}) {
+      const auto spec = frameworks::default_network_spec(kind, dataset);
+      for (const Device& device : {Device::cpu(), Device::parallel(2)}) {
+        SCOPED_TRACE(spec.name + (device.is_parallel() ? " parallel" : " cpu"));
+        util::Rng rng(11);
+        nn::Sequential model =
+            frameworks::make_framework(kind)->build_model(spec, device, rng);
+        util::Rng xr(5);
+        const tensor::Tensor x = tensor::Tensor::rand_uniform(
+            Shape({1, spec.input_channels, spec.input_height,
+                   spec.input_width}),
+            xr, 0.f, 1.f);
+        const tensor::Tensor expected =
+            per_class_jacobian(model, x, 10, device);
+        Context ctx;
+        ctx.device = device;
+        const tensor::Tensor actual = logit_jacobian(model, x, 10, ctx);
+        ASSERT_EQ(actual.shape(), expected.shape());
+        EXPECT_EQ(std::memcmp(actual.raw(), expected.raw(),
+                              static_cast<std::size_t>(actual.numel()) *
+                                  sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
 TEST(Jsma, TargetedAttackIncreasesTargetLogit) {
   auto& fx = fixture();
   Context ctx = cpu_ctx();
@@ -207,6 +262,23 @@ TEST(Jsma, AlreadyTargetClassIsTrivialSuccess) {
     return;
   }
   GTEST_SKIP() << "model classified nothing correctly";
+}
+
+// An all-ones input has no pixel left to increase, so the saliency map
+// is empty before any perturbation: the attack fails at once, and the
+// final class is still the model's prediction.
+TEST(Jsma, SaturatedInputReportsSourceClass) {
+  auto& fx = fixture();
+  Context ctx = cpu_ctx();
+  const tensor::Tensor ones(Shape({1, 1, 28, 28}), 1.f);
+  const std::int64_t source = fx.model.predict(ones, ctx)[0];
+  JsmaOptions opt;
+  opt.classes = 10;
+  AttackOutcome out = jsma_attack(fx.model, ones, (source + 1) % 10, opt, ctx);
+  EXPECT_EQ(out.iterations, 0);
+  EXPECT_FALSE(out.success);
+  EXPECT_EQ(out.source_class, source);
+  EXPECT_EQ(out.final_class, source);
 }
 
 TEST(Sweeps, FgsmSweepBookkeeping) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "adversarial/attacks.hpp"
@@ -94,6 +95,35 @@ TEST(SequentialClone, ReplicaWeightsAreIndependentStorage) {
             0);
 }
 
+// A replica of a model with cached activations and non-zero gradients
+// starts fresh: zero gradients, and no cache to run backward from.
+TEST(SequentialClone, ReplicaStartsWithZeroGradsAndEmptyCaches) {
+  auto& fx = fixture();
+  nn::Sequential source = fx.model.clone();
+  Context ctx = gpu_ctx();
+  ctx.device = Device::cpu();
+  const std::vector<std::int64_t> labels{fx.mnist.test.labels[0]};
+  const nn::LossResult loss =
+      source.forward_loss(fx.mnist.test.sample(0), labels, ctx);
+  (void)source.backward(loss, labels, ctx);
+
+  nn::Sequential replica = source.clone();
+  for (tensor::Tensor* g : replica.grads())
+    for (float v : g->data()) ASSERT_EQ(v, 0.f);
+  for (std::size_t i = 0; i < replica.size(); ++i) {
+    SCOPED_TRACE(replica.layer(i).describe());
+    try {
+      (void)replica.layer(i).backward(tensor::Tensor(tensor::Shape({1, 1})),
+                                      ctx);
+      ADD_FAILURE() << "backward ran without a forward";
+    } catch (const dlbench::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("before forward"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CraftUnits, CoversEveryUnitOnceAndCountsThem) {
   auto& fx = fixture();
   const std::int64_t units = 23;
@@ -160,24 +190,6 @@ TEST(Determinism, FgsmSweepIsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// ThreadSanitizer slows JSMA's Jacobian loops so far that the two-unit
-// sweep below outruns ctest's 600 s limit (about 690 s alone on a
-// 4-vCPU AVX-512 box); the TSan build crafts one unit per target
-// instead (about 370 s). Thread counts and assertions are the same,
-// and every other build runs the full-size sweep.
-#if defined(__SANITIZE_THREAD__)
-#define DLB_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DLB_TEST_TSAN 1
-#endif
-#endif
-#ifdef DLB_TEST_TSAN
-constexpr std::int64_t kJsmaUnitsPerTarget = 1;
-#else
-constexpr std::int64_t kJsmaUnitsPerTarget = 2;
-#endif
-
 TEST(Determinism, JsmaSweepIsBitwiseIdenticalAcrossThreadCounts) {
   auto& fx = fixture();
   JsmaOptions opt;
@@ -185,12 +197,12 @@ TEST(Determinism, JsmaSweepIsBitwiseIdenticalAcrossThreadCounts) {
   opt.max_distortion = 0.03;  // keep the test fast
   const TargetedSweep serial =
       jsma_sweep(fx.model, fx.mnist.test, /*source=*/1, opt, gpu_ctx(),
-                 kJsmaUnitsPerTarget, /*threads=*/1);
+                 /*samples_per_target=*/2, /*threads=*/1);
   ASSERT_GT(serial.total_attacks, 0);
   for (int threads : {2, 8}) {
     const TargetedSweep par =
         jsma_sweep(fx.model, fx.mnist.test, /*source=*/1, opt, gpu_ctx(),
-                   kJsmaUnitsPerTarget, threads);
+                   /*samples_per_target=*/2, threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(par.total_attacks, serial.total_attacks);
     EXPECT_EQ(par.total_successes, serial.total_successes);

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/conv_direct.hpp"
 #include "nn/layers.hpp"
@@ -321,6 +325,115 @@ TEST(Sequential, EmptyModelThrows) {
   Context ctx = eval_ctx();
   Tensor x(Shape({1, 2}));
   EXPECT_THROW(model.forward(x, ctx), dlbench::Error);
+}
+
+// ---- the stacked-cotangent backward contract (nn/layer.hpp) ----
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// One instance of every layer type, with a forward input of N = 2 rows.
+struct LayerCase {
+  std::string name;
+  std::function<LayerPtr(util::Rng&)> make;
+  Shape input;
+  bool training = false;  // Dropout's mask exists only in training mode
+};
+
+std::vector<LayerCase> every_layer_type() {
+  const tensor::ConvGeom conv{2, 6, 6, 3, 3, 1, 1};
+  const tensor::PoolGeom pool{3, 6, 6, 3, 2, false};
+  const auto init = tensor::InitKind::kXavierUniform;
+  return {
+      {"Conv2d",
+       [=](util::Rng& r) { return LayerPtr(new Conv2d(conv, init, r)); },
+       Shape({2, 2, 6, 6})},
+      {"Conv2dDirect",
+       [=](util::Rng& r) { return LayerPtr(new Conv2dDirect(conv, init, r)); },
+       Shape({2, 2, 6, 6})},
+      {"Linear",
+       [=](util::Rng& r) { return LayerPtr(new Linear(12, 5, init, r)); },
+       Shape({2, 12})},
+      {"LinearReLU",
+       [=](util::Rng& r) { return LayerPtr(new LinearReLU(12, 5, init, r)); },
+       Shape({2, 12})},
+      {"MaxPool2d", [=](util::Rng&) { return LayerPtr(new MaxPool2d(pool)); },
+       Shape({2, 3, 6, 6})},
+      {"AvgPool2d", [=](util::Rng&) { return LayerPtr(new AvgPool2d(pool)); },
+       Shape({2, 3, 6, 6})},
+      {"ReLU", [](util::Rng&) { return LayerPtr(new ReLU()); },
+       Shape({2, 3, 4})},
+      {"Tanh", [](util::Rng&) { return LayerPtr(new Tanh()); },
+       Shape({2, 3, 4})},
+      {"Dropout(train)", [](util::Rng&) { return LayerPtr(new Dropout(0.5f)); },
+       Shape({2, 3, 4}), /*training=*/true},
+      {"Dropout(eval)", [](util::Rng&) { return LayerPtr(new Dropout(0.5f)); },
+       Shape({2, 3, 4})},
+      {"LocalResponseNorm",
+       [](util::Rng&) { return LayerPtr(new LocalResponseNorm(2)); },
+       Shape({2, 5, 3, 3})},
+      {"Flatten", [](util::Rng&) { return LayerPtr(new Flatten()); },
+       Shape({2, 3, 2, 2})},
+  };
+}
+
+// k stacked cotangents under param_grads off give, block for block, the
+// bits of k separate full backward passes, and leave every parameter
+// gradient untouched; stacking with param_grads on throws.
+TEST(StackedBackward, EveryLayerMatchesSeparatePassesBitwise) {
+  constexpr std::int64_t kBlocks = 3;
+  for (const LayerCase& c : every_layer_type()) {
+    SCOPED_TRACE(c.name);
+    util::Rng rng(21);
+    LayerPtr layer = c.make(rng);
+    Context full = eval_ctx();
+    full.training = c.training;
+    full.rng = &rng;
+    Context input_only = full;
+    input_only.param_grads = false;
+
+    const Tensor x = Tensor::randn(c.input, rng);
+    const Tensor y = layer->forward(x, full);
+    const std::int64_t rows = y.dim(0);
+    const Tensor dy = Tensor::randn(y.shape().with_batch(kBlocks * rows), rng);
+
+    std::vector<Tensor> separate;
+    for (std::int64_t b = 0; b < kBlocks; ++b) {
+      layer->zero_grads();
+      separate.push_back(
+          layer->backward(dy.rows(b * rows, rows), full).clone());
+    }
+
+    for (Tensor* g : layer->grads()) g->fill(-7.25f);  // sentinel
+    const Tensor single = layer->backward(dy.rows(0, rows), input_only);
+    EXPECT_TRUE(same_bits(single, separate[0]));
+    const Tensor stacked = layer->backward(dy, input_only);
+    ASSERT_EQ(stacked.shape(), x.shape().with_batch(kBlocks * x.dim(0)));
+    for (std::int64_t b = 0; b < kBlocks; ++b)
+      EXPECT_TRUE(same_bits(stacked.rows(b * x.dim(0), x.dim(0)), separate[b]))
+          << "block " << b;
+    for (Tensor* g : layer->grads())
+      for (float v : g->data()) ASSERT_EQ(v, -7.25f);
+
+    EXPECT_THROW(layer->backward(dy, full), dlbench::Error);
+    EXPECT_THROW(layer->backward(dy.rows(0, rows + 1), input_only),
+                 dlbench::Error);
+  }
+}
+
+TEST(StackedBackward, EveryLayerRejectsBackwardBeforeForward) {
+  for (const LayerCase& c : every_layer_type()) {
+    SCOPED_TRACE(c.name);
+    util::Rng rng(22);
+    LayerPtr layer = c.make(rng);
+    Context ctx = eval_ctx();
+    ctx.param_grads = false;
+    EXPECT_THROW(layer->backward(Tensor(c.input), ctx), dlbench::Error);
+  }
 }
 
 }  // namespace
