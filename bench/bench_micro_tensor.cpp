@@ -178,6 +178,34 @@ void BM_ConvGemmLenet1(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmLenet1)->Args({16, 0})->Args({16, 1})->Args({64, 1})->UseRealTime();
 
+// Conv backward (dx, dW and db) at two paper layers: range(0) = 0 is
+// TF-MNIST conv2 (32->64, 5x5 pad 2, 14x14) at batch 50 on 2 workers;
+// 1 is Caffe-CIFAR conv2 (32->32, 5x5 pad 2, 16x16) on one 25-sample
+// data-parallel shard, serial. FLOPs count the dW and dx GEMMs.
+void BM_ConvBackward(benchmark::State& state) {
+  const bool tf = state.range(0) == 0;
+  const tensor::ConvGeom g = tf ? tensor::ConvGeom{32, 14, 14, 64, 5, 1, 2}
+                                : tensor::ConvGeom{32, 16, 16, 32, 5, 1, 2};
+  const std::int64_t batch = tf ? 50 : 25;
+  const Device dev = tf ? Device::parallel(2) : Device::cpu();
+  util::Rng rng(5);
+  Tensor x = Tensor::randn(Shape({batch, g.in_c, g.in_h, g.in_w}), rng);
+  Tensor w = Tensor::randn(Shape({g.out_c, g.patch_size()}), rng);
+  Tensor dy = Tensor::randn(Shape({batch, g.out_c, g.out_h(), g.out_w()}), rng);
+  for (auto _ : state) {
+    tensor::ConvGrads grads = tensor::conv2d_backward(x, w, dy, g, dev);
+    benchmark::DoNotOptimize(grads.dweight.raw());
+    benchmark::DoNotOptimize(grads.dx.raw());
+  }
+  const double positions =
+      static_cast<double>(batch) * g.out_h() * g.out_w();
+  set_rates(state,
+            4.0 * positions * g.out_c * static_cast<double>(g.patch_size()),
+            4.0 * (2.0 * static_cast<double>(x.numel()) + 2.0 * w.numel() +
+                   static_cast<double>(dy.numel())));
+}
+BENCHMARK(BM_ConvBackward)->Arg(0)->Arg(1)->UseRealTime();
+
 // GEMM vs direct convolution — the Torch CPU/GPU implementation split.
 void BM_ConvDirectVsGemm(benchmark::State& state) {
   const bool direct = state.range(0);
@@ -210,11 +238,17 @@ void BM_ConvDirectVsGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvDirectVsGemm)->Arg(0)->Arg(1)->UseRealTime();
 
+// range(0): 0 and 1 are TF-CIFAR pool1 (3x3 stride 2, 64 x 32x32,
+// batch 32) serial and parallel; 2 is TF-MNIST pool1 (2x2 stride 2,
+// 32 x 28x28, batch 50) serial.
 void BM_MaxPool(benchmark::State& state) {
-  const Device dev = device_for(state.range(0));
-  tensor::PoolGeom g{64, 32, 32, 3, 2, false};
+  const bool two = state.range(0) == 2;
+  const Device dev = device_for(state.range(0) == 1);
+  const tensor::PoolGeom g = two ? tensor::PoolGeom{32, 28, 28, 2, 2, false}
+                                 : tensor::PoolGeom{64, 32, 32, 3, 2, false};
   util::Rng rng(4);
-  Tensor x = Tensor::randn(Shape({32, 64, 32, 32}), rng);
+  Tensor x = Tensor::randn(
+      two ? Shape({50, 32, 28, 28}) : Shape({32, 64, 32, 32}), rng);
   std::vector<std::int32_t> argmax;
   Tensor probe = tensor::maxpool_forward(x, g, argmax, dev);
   for (auto _ : state) {
@@ -225,7 +259,7 @@ void BM_MaxPool(benchmark::State& state) {
   set_rates(state, static_cast<double>(probe.numel()) * g.window * g.window,
             4.0 * (static_cast<double>(x.numel()) + probe.numel()));
 }
-BENCHMARK(BM_MaxPool)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_MaxPool)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 
 void BM_SoftmaxXent(benchmark::State& state) {
   const Device dev = device_for(state.range(0));

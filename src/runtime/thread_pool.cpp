@@ -91,10 +91,14 @@ void ThreadPool::parallel_for_ranges(
   // min(workers, ceil(count/grain)) chunks: grain is the floor on chunk
   // size, so slightly-over-threshold counts get one or two meaty chunks
   // instead of a per-worker spray of slivers.
+  // The chunk size is fixed first and the chunk count derived from it,
+  // so every dispatched range is non-empty (count=5 on 4 workers is
+  // three chunks: 2, 2 and 1).
   if (grain == 0) grain = 1;
   const std::size_t max_chunks = (count + grain - 1) / grain;
-  const std::size_t n_chunks = std::min(max_chunks, workers_.size());
-  const std::size_t chunk = (count + n_chunks - 1) / n_chunks;
+  const std::size_t target = std::min(max_chunks, workers_.size());
+  const std::size_t chunk = (count + target - 1) / target;
+  const std::size_t n_chunks = (count + chunk - 1) / chunk;
 
   // Completion state lives behind done_mu: the counter must be
   // decremented under the lock, otherwise the waiter can observe zero

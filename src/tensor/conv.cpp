@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -30,6 +29,55 @@ XRun valid_x_run(const ConvGeom& g, std::int64_t kx, std::int64_t ow) {
   const std::int64_t last = g.in_w - 1 + shift;  // largest valid x*stride
   const std::int64_t hi = last < 0 ? 0 : std::min(ow, last / g.stride + 1);
   return {lo, std::max(lo, hi)};
+}
+
+// One image with `pad` zeros around every channel plane, into `dst`
+// (in_c x (in_h + 2 pad) x (in_w + 2 pad)): every window of the
+// geometry then lies inside, and im2col_panels reads without bounds
+// checks. With pad 0 the image is used as it is.
+const float* pad_image(const float* image, const ConvGeom& g, float* dst) {
+  if (g.pad == 0) return image;
+  const std::int64_t ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
+  std::fill(dst, dst + g.in_c * ph * pw, 0.f);
+  for (std::int64_t c = 0; c < g.in_c; ++c)
+    for (std::int64_t y = 0; y < g.in_h; ++y)
+      std::memcpy(dst + (c * ph + y + g.pad) * pw + g.pad,
+                  image + (c * g.in_h + y) * g.in_w,
+                  static_cast<std::size_t>(g.in_w) * sizeof(float));
+  return dst;
+}
+
+// Patch rows [p0, p1) of one padded image (pad_image) written straight
+// into packed-B panels (pack.hpp layout, K = out_h*out_w):
+// B(j, p) = columns[p, j], the operand of the dW GEMM. Each output
+// position fills its 16 panel lanes from 16 precomputed offsets, one
+// contiguous 64-byte row per position; lanes past p1 in the last panel
+// are zero.
+void im2col_panels(const float* padded, const ConvGeom& g, std::int64_t p0,
+                   std::int64_t p1, float* panels) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const std::int64_t ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
+  for (std::int64_t q0 = p0; q0 < p1; q0 += kGemmNR) {
+    const std::int64_t lanes = std::min(kGemmNR, p1 - q0);
+    std::int64_t offset[kGemmNR];
+    for (std::int64_t l = 0; l < lanes; ++l) {
+      const std::int64_t p = q0 + l;  // (c, ky, kx)
+      const std::int64_t c = p / (g.kernel * g.kernel);
+      offset[l] = (c * ph + p / g.kernel % g.kernel) * pw + p % g.kernel;
+    }
+    float* out = panels + (q0 - p0) / kGemmNR * oh * ow * kGemmNR;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t x = 0; x < ow; ++x, out += kGemmNR) {
+        const float* window = padded + y * g.stride * pw + x * g.stride;
+        if (lanes == kGemmNR) {
+          for (std::int64_t l = 0; l < kGemmNR; ++l) out[l] = window[offset[l]];
+        } else {
+          for (std::int64_t l = 0; l < lanes; ++l) out[l] = window[offset[l]];
+          std::fill(out + lanes, out + kGemmNR, 0.f);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -107,18 +155,18 @@ void col2im(const float* columns, const ConvGeom& g, float* image) {
 namespace {
 
 // Grow-only per-thread staging for the im2col/col2im buffers and the
-// backward dW scratch. A pool worker runs one chunk at a time
-// and the pool is never re-entered, so the three named buffers of one
-// thread are never live twice concurrently. On the serial executor
-// path the staging is a Tensor instead, so an active execution plan
-// folds it into the step arena (DESIGN.md §15); workers cannot use the
-// arena (it is owner-thread-scoped and offset replay is sequential),
-// and this thread-local reuse is what keeps them allocation-free in
-// steady state.
-enum WorkerBuf { kColumns = 0, kDColumns = 1, kDwScratch = 2 };
+// dW operands. A pool worker runs one chunk at a time and the pool is
+// never re-entered, so the named buffers of one thread are never live
+// twice concurrently. On the serial executor path the
+// staging is a Tensor instead, so an active execution plan folds it
+// into the step arena (DESIGN.md §15); workers cannot use the arena (it
+// is owner-thread-scoped and offset replay is sequential), and this
+// thread-local reuse is what keeps them allocation-free in steady
+// state.
+enum WorkerBuf { kColumns = 0, kDColumns = 1, kDyPanels = 2, kPadded = 3 };
 
 float* worker_scratch(WorkerBuf which, std::size_t floats) {
-  thread_local std::vector<float> bufs[3];
+  thread_local std::vector<float> bufs[4];
   auto& v = bufs[which];
   if (v.size() < floats) v.resize(floats);
   return v.data();
@@ -241,6 +289,67 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   return y;
 }
 
+namespace {
+
+// How conv2d_backward splits the dW GEMM [out_c, n*ohw] x [n*ohw, patch]
+// across workers: a grid of row-panel blocks (output channels) times
+// column-panel blocks (patch rows); each worker owns one block of dW
+// tiles for the whole batch. A worker packs only the dy rows and
+// im2col panels of its own block, so a one-axis split makes every
+// worker pack all of the other operand: split first along the axis
+// whose duplicated operand is smaller (columns when out_c <= patch),
+// then along the other axis with the workers that remain.
+struct DwGrid {
+  std::int64_t row_blocks = 1, col_blocks = 1;
+  std::int64_t tiles() const { return row_blocks * col_blocks; }
+};
+
+DwGrid dw_grid(const ConvGeom& g, std::int64_t workers) {
+  const std::int64_t rows = gemm_row_panels(g.out_c);
+  const std::int64_t cols = gemm_col_panels(g.patch_size());
+  DwGrid grid;
+  if (g.out_c <= g.patch_size()) {
+    grid.col_blocks = std::min(cols, workers);
+    grid.row_blocks = std::min(rows, workers / grid.col_blocks);
+  } else {
+    grid.row_blocks = std::min(rows, workers);
+    grid.col_blocks = std::min(cols, workers / grid.row_blocks);
+  }
+  return grid;
+}
+
+// Block b of `blocks` near-equal blocks over `count` panels: [lo, hi).
+std::pair<std::int64_t, std::int64_t> block_range(std::int64_t b,
+                                                  std::int64_t blocks,
+                                                  std::int64_t count) {
+  return {b * count / blocks, (b + 1) * count / blocks};
+}
+
+// db[oc] for oc in [oc0, oc1) continues its chain over this sample's
+// positions in ascending order. Eight channels advance together so
+// eight independent add chains hide the add latency; each channel's
+// own order is untouched.
+void db_chain(const float* dyo, std::int64_t oc0, std::int64_t oc1,
+              std::int64_t ohw, float* db) {
+  constexpr std::int64_t kLanes = 8;
+  std::int64_t oc = oc0;
+  for (; oc + kLanes <= oc1; oc += kLanes) {
+    float acc[kLanes];
+    std::copy(db + oc, db + oc + kLanes, acc);
+    const float* rows = dyo + oc * ohw;
+    for (std::int64_t j = 0; j < ohw; ++j)
+      for (std::int64_t r = 0; r < kLanes; ++r) acc[r] += rows[r * ohw + j];
+    std::copy(acc, acc + kLanes, db + oc);
+  }
+  for (; oc < oc1; ++oc) {
+    float acc = db[oc];
+    for (std::int64_t j = 0; j < ohw; ++j) acc += dyo[oc * ohw + j];
+    db[oc] = acc;
+  }
+}
+
+}  // namespace
+
 ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
                           const Tensor& dy, const ConvGeom& g,
                           const Device& dev) {
@@ -252,96 +361,99 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
             "conv dy shape " << dy.shape().to_string() << " unexpected");
 
   // dx: uninit is safe — col2im fully overwrites (memset + accumulate)
-  // each sample's region. dweight/dbias stay zero-initialized: they
-  // are += targets for the sorted chunk merge below.
+  // each sample's region. dweight/dbias start at zero, where every
+  // chain below starts.
   ConvGrads grads{Tensor::uninit(x.shape()), Tensor(weight.shape()),
                   Tensor({g.out_c})};
   const float* px = x.raw();
   const float* pdy = dy.raw();
   float* pdx = grads.dx.raw();
+  float* gw = grads.dweight.raw();
+  float* gb = grads.dbias.raw();
   const std::int64_t in_sz = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_sz = g.out_c * ohw;
 
-  // dW_s[oc, p] = dy_i · columnsᵀ runs on the packed micro-kernel
-  // (A = dy_i (ohw, 1), B = columnsᵀ (1, ohw)), serial inside a batch
-  // chunk like sample_dx. dW_s is a per-sample scratch accumulated into
-  // the chunk partial so the cross-sample += order stays the chunk's
-  // sample order.
-  const Device serial = Device::cpu();
-  const std::size_t col_floats = static_cast<std::size_t>(patch * ohw);
-  const std::size_t dw_floats = static_cast<std::size_t>(g.out_c * patch);
+  // dW[oc, p] is one fma chain over k = (sample, position) ascending:
+  // the GEMM dy [out_c, n*ohw] x columnsᵀ [n*ohw, patch] run one K block
+  // per sample, each block resuming the tile's chain with kAccumulate.
+  // A worker owns a block of dW tiles for the whole batch (dw_grid), so
+  // no tile is shared and the bits do not depend on the worker count.
+  // db is one add chain per channel in the same order. dx is per
+  // sample (sample_dx); each task takes a contiguous share of samples.
   const bool inline_exec = !dev.is_parallel();
+  const std::int64_t tasks =
+      inline_exec ? 1 : static_cast<std::int64_t>(dev.workers());
+  const DwGrid grid = dw_grid(g, tasks);
+  const std::int64_t max_row_panels =
+      (gemm_row_panels(g.out_c) + grid.row_blocks - 1) / grid.row_blocks;
+  const std::int64_t max_col_panels =
+      (gemm_col_panels(patch) + grid.col_blocks - 1) / grid.col_blocks;
+  const auto dy_floats =
+      static_cast<std::size_t>(max_row_panels * kGemmMR * ohw);
+  const auto col_floats =
+      static_cast<std::size_t>(max_col_panels * kGemmNR * ohw);
+  const auto dcol_floats = static_cast<std::size_t>(patch * ohw);
+  const auto pad_floats = static_cast<std::size_t>(
+      g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad));
 
   // Staging: arena-backed tensors on the serial executor path,
   // grow-only thread-local buffers in pool workers (see worker_scratch).
-  Tensor owner_cols, owner_dcols, owner_dw;
-  if (inline_exec) {
-    owner_cols = Tensor::uninit(Shape({patch * ohw}));
-    owner_dcols = Tensor::uninit(Shape({patch * ohw}));
-    owner_dw = Tensor::uninit(Shape({g.out_c * patch}));
-  }
+  auto owner_buf = [&](std::size_t floats) {
+    return inline_exec
+               ? Tensor::uninit(Shape({static_cast<std::int64_t>(floats)}))
+               : Tensor();
+  };
+  Tensor owner_dy = owner_buf(dy_floats), owner_cols = owner_buf(col_floats),
+         owner_dcols = owner_buf(dcol_floats),
+         owner_pad = owner_buf(pad_floats);
   const Tensor wt_panels = pack_weight_t(weight, g, dev);
   const float* pwt_packed = wt_panels.raw();
-
-  // Per-chunk weight/bias partials, merged serially in chunk order after
-  // the parallel region: float accumulation order is then a function of
-  // the chunking alone, not of thread completion order, so an N-thread
-  // run is bit-reproducible run to run.
-  std::mutex reduce_mu;
-  std::vector<std::pair<std::size_t, std::vector<float>>> partials;
+  const Device serial = Device::cpu();
 
   dev.parallel_for(
-      static_cast<std::size_t>(n),
+      static_cast<std::size_t>(tasks),
       [&](std::size_t lo, std::size_t hi) {
-        float* columns = inline_exec ? owner_cols.raw()
-                                     : worker_scratch(kColumns, col_floats);
+        float* dy_panels = inline_exec ? owner_dy.raw()
+                                       : worker_scratch(kDyPanels, dy_floats);
+        float* col_panels = inline_exec ? owner_cols.raw()
+                                        : worker_scratch(kColumns, col_floats);
         float* dcolumns = inline_exec
                               ? owner_dcols.raw()
-                              : worker_scratch(kDColumns, col_floats);
-        float* dw_s = inline_exec ? owner_dw.raw()
-                                  : worker_scratch(kDwScratch, dw_floats);
-        std::vector<float> local_dw(static_cast<std::size_t>(g.out_c * patch),
-                                    0.f);
-        std::vector<float> local_db(static_cast<std::size_t>(g.out_c), 0.f);
-
-        for (std::size_t i = lo; i < hi; ++i) {
-          const float* xin = px + static_cast<std::int64_t>(i) * in_sz;
-          const float* dyo = pdy + static_cast<std::int64_t>(i) * out_sz;
-          im2col(xin, g, columns);
-
-          // db[oc] += sum dy[oc, :]
-          for (std::int64_t oc = 0; oc < g.out_c; ++oc) {
-            const float* drow = dyo + oc * ohw;
-            float db_acc = 0.f;
-            for (std::int64_t j = 0; j < ohw; ++j) db_acc += drow[j];
-            local_db[static_cast<std::size_t>(oc)] += db_acc;
+                              : worker_scratch(kDColumns, dcol_floats);
+        float* pad_buf = inline_exec ? owner_pad.raw()
+                                     : worker_scratch(kPadded, pad_floats);
+        for (std::size_t t = lo; t < hi; ++t) {
+          const auto task = static_cast<std::int64_t>(t);
+          const bool has_dw = task < grid.tiles();
+          const auto [rp0, rp1] = block_range(task / grid.col_blocks,
+                                              grid.row_blocks,
+                                              gemm_row_panels(g.out_c));
+          const auto [cp0, cp1] = block_range(
+              task % grid.col_blocks, grid.col_blocks, gemm_col_panels(patch));
+          const std::int64_t oc0 = rp0 * kGemmMR;
+          const std::int64_t oc1 = std::min(g.out_c, rp1 * kGemmMR);
+          const std::int64_t p0 = cp0 * kGemmNR;
+          const std::int64_t p1 = std::min(patch, cp1 * kGemmNR);
+          const auto [dx0, dx1] = block_range(task, tasks, n);
+          for (std::int64_t i = 0; i < n; ++i) {
+            const float* xin = px + i * in_sz;
+            const float* dyo = pdy + i * out_sz;
+            if (has_dw) {
+              pack_a_panels(dyo + oc0 * ohw, ohw, 1, oc1 - oc0, ohw,
+                            dy_panels, serial);
+              im2col_panels(pad_image(xin, g, pad_buf), g, p0, p1,
+                            col_panels);
+              gemm_prepacked(dy_panels, col_panels, gw + oc0 * patch + p0,
+                             patch, oc1 - oc0, ohw, p1 - p0,
+                             GemmEpilogue::kAccumulate, nullptr, serial);
+              if (cp0 == 0) db_chain(dyo, oc0, oc1, ohw, gb);
+            }
+            if (i >= dx0 && i < dx1)
+              sample_dx(pwt_packed, dyo, g, dcolumns, pdx + i * in_sz);
           }
-
-          gemm_packed(dyo, ohw, 1, columns, 1, ohw, dw_s, g.out_c, ohw,
-                      patch, GemmEpilogue::kNone, nullptr, serial);
-          for (std::size_t k = 0; k < dw_floats; ++k) local_dw[k] += dw_s[k];
-          sample_dx(pwt_packed, dyo, g, dcolumns,
-                    pdx + static_cast<std::int64_t>(i) * in_sz);
         }
-
-        // Pack dW then db into one buffer keyed by the chunk's first
-        // sample index; merged below in key order.
-        local_dw.insert(local_dw.end(), local_db.begin(), local_db.end());
-        std::lock_guard<std::mutex> lock(reduce_mu);
-        partials.emplace_back(lo, std::move(local_dw));
       },
       1);
-
-  std::sort(partials.begin(), partials.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  float* gw = grads.dweight.raw();
-  float* gb = grads.dbias.raw();
-  const std::size_t dw_size = static_cast<std::size_t>(g.out_c * patch);
-  for (const auto& [lo, local] : partials) {
-    for (std::size_t k = 0; k < dw_size; ++k) gw[k] += local[k];
-    for (std::size_t k = 0; k < static_cast<std::size_t>(g.out_c); ++k)
-      gb[k] += local[dw_size + k];
-  }
   return grads;
 }
 

@@ -43,7 +43,14 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                       const runtime::Device& dev, bool fuse_relu = false);
 
 /// Backward conv. Given dy [N, out_c, oh, ow] computes dx (same shape as
-/// x), and accumulates dweight [out_c, patch_size] / dbias [out_c].
+/// x), dweight [out_c, patch_size] and dbias [out_c]. dweight[oc, p] is
+/// one fma chain over k = (sample, position) ascending: the GEMM
+/// dy · columnsᵀ with K = N·oh·ow, run one K block per sample with
+/// GemmEpilogue::kAccumulate, im2col writing each sample's patch rows
+/// straight into packed-B panels. Workers own disjoint blocks of dW
+/// tiles for the whole batch, so dweight, dbias (one add chain per
+/// channel, same order) and dx (per sample) are bitwise independent of
+/// the worker count.
 struct ConvGrads {
   Tensor dx;
   Tensor dweight;

@@ -1,6 +1,7 @@
 #include "tensor/gemm_kernel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -23,13 +24,20 @@ void micro_kernel_scalar(const float* a_panel, const float* b_panel,
       epilogue == GemmEpilogue::kBiasRowRelu) {
     for (std::int64_t r = 0; r < kGemmMR; ++r)
       for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] = bias_row[r];
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    for (std::int64_t r = 0; r < kGemmMR; ++r)
+      std::memcpy(acc[r], out + r * ldo,
+                  static_cast<std::size_t>(kGemmNR) * sizeof(float));
   } else {
     std::memset(acc, 0, sizeof(acc));
   }
   // Fully unrolled r/j loops over a local copy of the B row: GCC then
   // keeps all MR*NR accumulators in registers instead of spilling and
   // reloading the array every k step, which ran 20-40x slower. Same
-  // arithmetic, same order, same bits.
+  // arithmetic, same order, same bits. On an FMA target the step is an
+  // explicit std::fma (one vfmadd), not left to contraction: an
+  // instrumented sanitizer build contracts only some of the unrolled
+  // steps.
   for (std::int64_t kk = 0; kk < k; ++kk) {
     const float* a = a_panel + kk * kGemmMR;
     float b[kGemmNR];
@@ -38,7 +46,13 @@ void micro_kernel_scalar(const float* a_panel, const float* b_panel,
     for (std::int64_t r = 0; r < kGemmMR; ++r) {
       const float av = a[r];
 #pragma GCC unroll 16
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] += av * b[j];
+      for (std::int64_t j = 0; j < kGemmNR; ++j) {
+#if defined(__FMA__)
+        acc[r][j] = std::fma(av, b[j], acc[r][j]);
+#else
+        acc[r][j] += av * b[j];
+#endif
+      }
     }
   }
   if (epilogue == GemmEpilogue::kBiasColAdd ||
@@ -118,13 +132,14 @@ void check_dims(std::int64_t m, std::int64_t k, std::int64_t n) {
 }
 
 // The macro loop over already-packed panels, shared by every entry
-// point. No trace span here: every caller (matmul*, conv2d_*, the
-// frozen fc op) already opens a kernel-category span, and a nested one
-// would double-count the category total (see
+// point; C has row stride `ldc`. No trace span here: every caller
+// (matmul*, conv2d_*, the frozen fc op) already opens a kernel-category
+// span, and a nested one would double-count the category total (see
 // TraceTest.KernelSpansRecordedFromMatmul).
 void gemm_macro(const float* pa_data, const float* pb_data, float* c,
-                std::int64_t m, std::int64_t k, std::int64_t n,
-                GemmEpilogue epilogue, const float* bias, const Device& dev) {
+                std::int64_t ldc, std::int64_t m, std::int64_t k,
+                std::int64_t n, GemmEpilogue epilogue, const float* bias,
+                const Device& dev) {
   const std::int64_t n_mp = gemm_row_panels(m);
   const std::int64_t n_np = gemm_col_panels(n);
 
@@ -137,6 +152,7 @@ void gemm_macro(const float* pa_data, const float* pb_data, float* c,
                         epilogue == GemmEpilogue::kBiasRowRelu;
   const bool col_bias = epilogue == GemmEpilogue::kBiasColAdd ||
                         epilogue == GemmEpilogue::kBiasColRelu;
+  const bool accumulate = epilogue == GemmEpilogue::kAccumulate;
 
   // Macro-tile loop: threads split the row panels; every C tile is
   // computed whole by one thread (see determinism contract in the
@@ -147,11 +163,55 @@ void gemm_macro(const float* pa_data, const float* pb_data, float* c,
         float tmp[kGemmMR * kGemmNR];
         float bias_row_pad[kGemmMR];
         float bias_col_pad[kGemmNR];
+        // Row bias for the MR rows from m0: straight from `bias` on a
+        // full panel, zero-padded on the edge panel.
+        auto row_bias_at = [&](std::int64_t m0) -> const float* {
+          if (!row_bias) return nullptr;
+          if (m0 + kGemmMR <= m) return bias + m0;
+          for (std::int64_t r = 0; r < kGemmMR; ++r)
+            bias_row_pad[r] = m0 + r < m ? bias[m0 + r] : 0.f;
+          return bias_row_pad;
+        };
+        // One 6x16 tile at (m0, panel np). Full tiles run in place;
+        // edge tiles run in `tmp`, which kAccumulate first fills with
+        // the live part of C (zeros elsewhere), and copy out only the
+        // live mr x nr region.
+        auto single_tile = [&](const float* a_panel, std::int64_t m0,
+                               std::int64_t np, const float* brow) {
+          const std::int64_t n0 = np * kGemmNR;
+          const std::int64_t mr = std::min(kGemmMR, m - m0);
+          const std::int64_t nr = std::min(kGemmNR, n - n0);
+          const float* b_panel = pb_data + np * k * kGemmNR;
+          const float* bcol = nullptr;
+          if (col_bias) {
+            if (nr == kGemmNR) {
+              bcol = bias + n0;
+            } else {
+              for (std::int64_t j = 0; j < kGemmNR; ++j)
+                bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
+              bcol = bias_col_pad;
+            }
+          }
+          float* ct = c + m0 * ldc + n0;
+          if (mr == kGemmMR && nr == kGemmNR) {
+            micro(a_panel, b_panel, k, ct, ldc, epilogue, brow, bcol);
+            return;
+          }
+          if (accumulate) {
+            std::fill(tmp, tmp + kGemmMR * kGemmNR, 0.f);
+            for (std::int64_t r = 0; r < mr; ++r)
+              std::memcpy(tmp + r * kGemmNR, ct + r * ldc,
+                          static_cast<std::size_t>(nr) * sizeof(float));
+          }
+          micro(a_panel, b_panel, k, tmp, kGemmNR, epilogue, brow, bcol);
+          for (std::int64_t r = 0; r < mr; ++r)
+            std::memcpy(ct + r * ldc, tmp + r * kGemmNR,
+                        static_cast<std::size_t>(nr) * sizeof(float));
+        };
         for (std::int64_t np0 = 0; np0 < n_np; np0 += kMacroColPanels) {
           const std::int64_t np1 = std::min(n_np, np0 + kMacroColPanels);
           for (std::size_t mp = lo; mp < hi;) {
             const std::int64_t m0 = static_cast<std::int64_t>(mp) * kGemmMR;
-            const std::int64_t mr = std::min(kGemmMR, m - m0);
             const float* a_panel =
                 pa_data + static_cast<std::int64_t>(mp) * k * kGemmMR;
             // Full interior pair of row panels: the quad kernel (when
@@ -167,54 +227,21 @@ void gemm_macro(const float* pa_data, const float* pb_data, float* c,
               std::int64_t np = np0;
               for (; np + 2 <= np1 && (np + 2) * kGemmNR <= n; np += 2) {
                 micro_2x2(a_panel, pb_data + np * k * kGemmNR, k,
-                          c + m0 * n + np * kGemmNR, n, epilogue, brow2,
+                          c + m0 * ldc + np * kGemmNR, ldc, epilogue, brow2,
                           col_bias ? bias + np * kGemmNR : nullptr);
               }
-              // Leftover column panel (or edge): two single-panel
-              // calls, one per row panel.
+              // Leftover column panel (or edge): one single-panel call
+              // per row panel.
               for (; np < np1; ++np) {
-                const std::int64_t n0 = np * kGemmNR;
-                const std::int64_t nr = std::min(kGemmNR, n - n0);
-                const float* b_panel = pb_data + np * k * kGemmNR;
-                const float* bcol = nullptr;
-                if (col_bias) {
-                  if (nr == kGemmNR) {
-                    bcol = bias + n0;
-                  } else {
-                    for (std::int64_t j = 0; j < kGemmNR; ++j)
-                      bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
-                    bcol = bias_col_pad;
-                  }
-                }
-                for (int half = 0; half < 2; ++half) {
-                  const float* ap = a_panel + half * k * kGemmMR;
-                  const std::int64_t hm0 = m0 + half * kGemmMR;
-                  const float* hb = row_bias ? bias + hm0 : nullptr;
-                  if (nr == kGemmNR) {
-                    micro(ap, b_panel, k, c + hm0 * n + n0, n, epilogue, hb,
-                          bcol);
-                  } else {
-                    micro(ap, b_panel, k, tmp, kGemmNR, epilogue, hb, bcol);
-                    for (std::int64_t r = 0; r < kGemmMR; ++r)
-                      std::memcpy(c + (hm0 + r) * n + n0, tmp + r * kGemmNR,
-                                  static_cast<std::size_t>(nr) *
-                                      sizeof(float));
-                  }
-                }
+                single_tile(a_panel, m0, np, brow2);
+                single_tile(a_panel + k * kGemmMR, m0 + kGemmMR, np,
+                            row_bias ? bias + m0 + kGemmMR : nullptr);
               }
               mp += 2;
               continue;
             }
-            const float* brow = nullptr;
-            if (row_bias) {
-              if (mr == kGemmMR) {
-                brow = bias + m0;
-              } else {
-                for (std::int64_t r = 0; r < kGemmMR; ++r)
-                  bias_row_pad[r] = r < mr ? bias[m0 + r] : 0.f;
-                brow = bias_row_pad;
-              }
-            }
+            const float* brow = row_bias_at(m0);
+            const bool full_rows = m0 + kGemmMR <= m;
             for (std::int64_t np = np0; np < np1;) {
               const std::int64_t n0 = np * kGemmNR;
               // Full interior pair of column panels: take the
@@ -223,36 +250,15 @@ void gemm_macro(const float* pa_data, const float* pb_data, float* c,
               // declaration in gemm_kernel.hpp), so pairing — which
               // shifts with the macro-block edge but never with the
               // thread count — does not affect determinism.
-              if (micro_x2 != nullptr && mr == kGemmMR && np + 2 <= np1 &&
+              if (micro_x2 != nullptr && full_rows && np + 2 <= np1 &&
                   n0 + 2 * kGemmNR <= n) {
                 micro_x2(a_panel, pb_data + np * k * kGemmNR, k,
-                         c + m0 * n + n0, n, epilogue, brow,
+                         c + m0 * ldc + n0, ldc, epilogue, brow,
                          col_bias ? bias + n0 : nullptr);
                 np += 2;
                 continue;
               }
-              const std::int64_t nr = std::min(kGemmNR, n - n0);
-              const float* b_panel = pb_data + np * k * kGemmNR;
-              const float* bcol = nullptr;
-              if (col_bias) {
-                if (nr == kGemmNR) {
-                  bcol = bias + n0;
-                } else {
-                  for (std::int64_t j = 0; j < kGemmNR; ++j)
-                    bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
-                  bcol = bias_col_pad;
-                }
-              }
-              if (mr == kGemmMR && nr == kGemmNR) {
-                micro(a_panel, b_panel, k, c + m0 * n + n0, n, epilogue,
-                      brow, bcol);
-              } else {
-                micro(a_panel, b_panel, k, tmp, kGemmNR, epilogue, brow,
-                      bcol);
-                for (std::int64_t r = 0; r < mr; ++r)
-                  std::memcpy(c + (m0 + r) * n + n0, tmp + r * kGemmNR,
-                              static_cast<std::size_t>(nr) * sizeof(float));
-              }
+              single_tile(a_panel, m0, np, brow);
               ++np;
             }
             ++mp;
@@ -274,7 +280,7 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   float* pb = scratch_b(k, n);
   pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
   pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
-  gemm_macro(pa, pb, c, m, k, n, epilogue, bias, dev);
+  gemm_macro(pa, pb, c, n, m, k, n, epilogue, bias, dev);
 }
 
 void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
@@ -284,7 +290,7 @@ void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
   check_dims(m, k, n);
   float* pb = scratch_b(k, n);
   pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
-  gemm_macro(a_panels, pb, c, m, k, n, epilogue, bias, dev);
+  gemm_macro(a_panels, pb, c, n, m, k, n, epilogue, bias, dev);
 }
 
 void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
@@ -294,7 +300,16 @@ void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   check_dims(m, k, n);
   float* pa = scratch_a(m, k);
   pack_a_panels(a, a_rs, a_cs, m, k, pa, dev);
-  gemm_macro(pa, b_panels, c, m, k, n, epilogue, bias, dev);
+  gemm_macro(pa, b_panels, c, n, m, k, n, epilogue, bias, dev);
+}
+
+void gemm_prepacked(const float* a_panels, const float* b_panels, float* c,
+                    std::int64_t ldc, std::int64_t m, std::int64_t k,
+                    std::int64_t n, GemmEpilogue epilogue, const float* bias,
+                    const Device& dev) {
+  check_dims(m, k, n);
+  DLB_CHECK(ldc >= n, "gemm_prepacked: ldc " << ldc << " < n " << n);
+  gemm_macro(a_panels, b_panels, c, ldc, m, k, n, epilogue, bias, dev);
 }
 
 }  // namespace dlbench::tensor

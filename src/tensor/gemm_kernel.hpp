@@ -15,16 +15,17 @@
 //
 // Determinism contract: C(m, n) is always the single-accumulator chain
 //   acc = init; for k = 0..K-1 in order: acc = acc + A(m,k)*B(k,n)
-// There is no K-splitting and no cross-thread reduction: every C tile
-// is computed start-to-finish by exactly one thread, so results are
-// bitwise identical across thread counts and across runs. Zero-padded
+// There is no cross-thread reduction: every C tile is computed by
+// exactly one thread, so results are bitwise identical across thread
+// counts and across runs. A caller may split K into blocks with
+// kAccumulate, which resumes the same chain (see below). Zero-padded
 // edge lanes never feed a real output element.
 //
 // Rounding: every tier computes each step as one fused multiply-add,
 // acc = fma(a, b, acc), with no intermediate rounding of the product.
 // The AVX2/AVX-512 kernels issue vfmadd explicitly; the portable scalar
-// kernel gets the same bits from the compiler contracting its
-// `acc += a * b` whenever the target ISA has FMA.
+// kernel calls std::fma when the build target has FMA (one vfmadd) and
+// falls back to `acc += a * b` when it does not.
 //
 // The epilogue is applied while the tile is still in registers, which
 // is what lets a dense layer skip a full output-tensor round trip for
@@ -34,6 +35,13 @@
 //                        add_row_bias pass).
 //   kBiasRowInit       — acc starts at bias[m] (conv's layout: one bias
 //                        per output channel).
+//   kAccumulate        — acc starts at the current C(m, n) and the K loop
+//                        continues its chain. An fp32 store and reload
+//                        does not round, so a K range split into blocks,
+//                        the first with any starting epilogue and the
+//                        rest with kAccumulate, gives the same bits as
+//                        one call over the whole range (the batched
+//                        conv weight gradient, conv.cpp).
 
 #include <cstdint>
 
@@ -47,13 +55,15 @@ enum class GemmEpilogue {
   kBiasColRelu,  // C = relu(A·B + bias[n])
   kBiasRowInit,  // C = bias[m] + A·B (broadcast over columns)
   kBiasRowRelu,  // C = relu(bias[m] + A·B)
+  kAccumulate,   // C = C + A·B, continuing C's fma chain
 };
 
 /// Packed GEMM. A(m, k) = a[m*a_rs + k*a_cs], B(k, n) = b[k*b_rs +
 /// n*b_cs], C is written dense row-major [M, N]. `bias` must have N
 /// entries for the column epilogues, M entries for the row epilogues,
 /// and may be null for kNone. Parallelizes over macro-tiles of C via
-/// `dev`; bitwise-deterministic for any worker count.
+/// `dev`; bitwise-deterministic for any worker count. Under kAccumulate
+/// C must hold the chain's running value on entry.
 void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
@@ -78,12 +88,23 @@ void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
                       const float* bias, const runtime::Device& dev);
 
+/// Both operands already packed (pack_a_panels / pack_b_panels layouts),
+/// C written with row stride `ldc` >= n, so a caller can run one block
+/// of a larger C, e.g. the dW tiles a conv backward worker owns, one K
+/// block per sample. Packs nothing and touches no scratch; bitwise
+/// identical to gemm_packed over the same operands.
+void gemm_prepacked(const float* a_panels, const float* b_panels, float* c,
+                    std::int64_t ldc, std::int64_t m, std::int64_t k,
+                    std::int64_t n, GemmEpilogue epilogue, const float* bias,
+                    const runtime::Device& dev);
+
 namespace detail {
 
 /// Computes one MR x NR tile from packed panels into `out` (row stride
 /// `ldo`), applying the epilogue. `bias_row` points at MR entries,
 /// `bias_col` at NR entries (zero-padded by the caller on edge tiles);
-/// unused ones may be null.
+/// unused ones may be null. Under kAccumulate the accumulators start
+/// from the tile already in `out`.
 using MicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
                                std::int64_t k, float* out, std::int64_t ldo,
                                GemmEpilogue epilogue, const float* bias_row,

@@ -37,6 +37,19 @@ void micro_kernel_avx2fma(const float* a_panel, const float* b_panel,
     c30 = c31 = _mm256_broadcast_ss(bias_row + 3);
     c40 = c41 = _mm256_broadcast_ss(bias_row + 4);
     c50 = c51 = _mm256_broadcast_ss(bias_row + 5);
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    c00 = _mm256_loadu_ps(out + 0 * ldo);
+    c01 = _mm256_loadu_ps(out + 0 * ldo + 8);
+    c10 = _mm256_loadu_ps(out + 1 * ldo);
+    c11 = _mm256_loadu_ps(out + 1 * ldo + 8);
+    c20 = _mm256_loadu_ps(out + 2 * ldo);
+    c21 = _mm256_loadu_ps(out + 2 * ldo + 8);
+    c30 = _mm256_loadu_ps(out + 3 * ldo);
+    c31 = _mm256_loadu_ps(out + 3 * ldo + 8);
+    c40 = _mm256_loadu_ps(out + 4 * ldo);
+    c41 = _mm256_loadu_ps(out + 4 * ldo + 8);
+    c50 = _mm256_loadu_ps(out + 5 * ldo);
+    c51 = _mm256_loadu_ps(out + 5 * ldo + 8);
   } else {
     c00 = c01 = c10 = c11 = c20 = c21 = _mm256_setzero_ps();
     c30 = c31 = c40 = c41 = c50 = c51 = _mm256_setzero_ps();

@@ -36,6 +36,13 @@ void micro_kernel_avx512(const float* a_panel, const float* b_panel,
     c3 = _mm512_set1_ps(bias_row[3]);
     c4 = _mm512_set1_ps(bias_row[4]);
     c5 = _mm512_set1_ps(bias_row[5]);
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    c0 = _mm512_loadu_ps(out + 0 * ldo);
+    c1 = _mm512_loadu_ps(out + 1 * ldo);
+    c2 = _mm512_loadu_ps(out + 2 * ldo);
+    c3 = _mm512_loadu_ps(out + 3 * ldo);
+    c4 = _mm512_loadu_ps(out + 4 * ldo);
+    c5 = _mm512_loadu_ps(out + 5 * ldo);
   } else {
     c0 = c1 = c2 = c3 = c4 = c5 = _mm512_setzero_ps();
   }
@@ -102,6 +109,19 @@ void micro_kernel_avx512_x2(const float* a_panel, const float* b_panels,
     c30 = c31 = _mm512_set1_ps(bias_row[3]);
     c40 = c41 = _mm512_set1_ps(bias_row[4]);
     c50 = c51 = _mm512_set1_ps(bias_row[5]);
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    c00 = _mm512_loadu_ps(out + 0 * ldo);
+    c01 = _mm512_loadu_ps(out + 0 * ldo + kGemmNR);
+    c10 = _mm512_loadu_ps(out + 1 * ldo);
+    c11 = _mm512_loadu_ps(out + 1 * ldo + kGemmNR);
+    c20 = _mm512_loadu_ps(out + 2 * ldo);
+    c21 = _mm512_loadu_ps(out + 2 * ldo + kGemmNR);
+    c30 = _mm512_loadu_ps(out + 3 * ldo);
+    c31 = _mm512_loadu_ps(out + 3 * ldo + kGemmNR);
+    c40 = _mm512_loadu_ps(out + 4 * ldo);
+    c41 = _mm512_loadu_ps(out + 4 * ldo + kGemmNR);
+    c50 = _mm512_loadu_ps(out + 5 * ldo);
+    c51 = _mm512_loadu_ps(out + 5 * ldo + kGemmNR);
   } else {
     c00 = c01 = c10 = c11 = c20 = c21 = _mm512_setzero_ps();
     c30 = c31 = c40 = c41 = c50 = c51 = _mm512_setzero_ps();
@@ -209,6 +229,31 @@ void micro_kernel_avx512_2x2(const float* a_panels, const float* b_panels,
     d30 = d31 = _mm512_set1_ps(bias_row[9]);
     d40 = d41 = _mm512_set1_ps(bias_row[10]);
     d50 = d51 = _mm512_set1_ps(bias_row[11]);
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    c00 = _mm512_loadu_ps(out + 0 * ldo);
+    c01 = _mm512_loadu_ps(out + 0 * ldo + kGemmNR);
+    c10 = _mm512_loadu_ps(out + 1 * ldo);
+    c11 = _mm512_loadu_ps(out + 1 * ldo + kGemmNR);
+    c20 = _mm512_loadu_ps(out + 2 * ldo);
+    c21 = _mm512_loadu_ps(out + 2 * ldo + kGemmNR);
+    c30 = _mm512_loadu_ps(out + 3 * ldo);
+    c31 = _mm512_loadu_ps(out + 3 * ldo + kGemmNR);
+    c40 = _mm512_loadu_ps(out + 4 * ldo);
+    c41 = _mm512_loadu_ps(out + 4 * ldo + kGemmNR);
+    c50 = _mm512_loadu_ps(out + 5 * ldo);
+    c51 = _mm512_loadu_ps(out + 5 * ldo + kGemmNR);
+    d00 = _mm512_loadu_ps(out + 6 * ldo);
+    d01 = _mm512_loadu_ps(out + 6 * ldo + kGemmNR);
+    d10 = _mm512_loadu_ps(out + 7 * ldo);
+    d11 = _mm512_loadu_ps(out + 7 * ldo + kGemmNR);
+    d20 = _mm512_loadu_ps(out + 8 * ldo);
+    d21 = _mm512_loadu_ps(out + 8 * ldo + kGemmNR);
+    d30 = _mm512_loadu_ps(out + 9 * ldo);
+    d31 = _mm512_loadu_ps(out + 9 * ldo + kGemmNR);
+    d40 = _mm512_loadu_ps(out + 10 * ldo);
+    d41 = _mm512_loadu_ps(out + 10 * ldo + kGemmNR);
+    d50 = _mm512_loadu_ps(out + 11 * ldo);
+    d51 = _mm512_loadu_ps(out + 11 * ldo + kGemmNR);
   } else {
     c00 = c01 = c10 = c11 = c20 = c21 = _mm512_setzero_ps();
     c30 = c31 = c40 = c41 = c50 = c51 = _mm512_setzero_ps();

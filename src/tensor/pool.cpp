@@ -20,6 +20,115 @@ void check_pool_input(const Tensor& x, const PoolGeom& g) {
   DLB_CHECK(g.out_h() > 0 && g.out_w() > 0, "pool output is empty");
 }
 
+// Output positions along one axis whose window lies fully inside the
+// input: start*stride + window <= in. Only ceil-mode edges (and inputs
+// smaller than the window) lie beyond.
+std::int64_t interior_count(std::int64_t in, std::int64_t out,
+                            const PoolGeom& g) {
+  return in < g.window ? 0 : std::min(out, (in - g.window) / g.stride + 1);
+}
+
+// Window maxima of one output row, each window scanned in (iy, ix)
+// order with strict >, so the first maximum wins and NaN never does.
+// The index starts at the window's first element, so a window holding
+// only -inf or NaN still routes its gradient inside itself. `count`
+// interior windows from x0 = 0 run with the window size fixed
+// (kWindow > 0) and no clamps, so the compiler unrolls the window and
+// vectorizes across x0; the row's edge windows are clamped.
+template <std::int64_t kWindow>
+void max_row(const float* in, const PoolGeom& g, std::int64_t y0,
+             std::int64_t count, std::int64_t ow, float* out,
+             std::int32_t* amax) {
+  const std::int64_t w = kWindow > 0 ? kWindow : g.window;
+  const std::int64_t ys = y0 * g.stride;
+  for (std::int64_t x0 = 0; x0 < count; ++x0) {
+    const std::int64_t first = ys * g.in_w + x0 * g.stride;
+    float best = -std::numeric_limits<float>::infinity();
+    auto best_idx = static_cast<std::int32_t>(first);
+    for (std::int64_t ky = 0; ky < w; ++ky) {
+      for (std::int64_t kx = 0; kx < w; ++kx) {
+        const std::int64_t at = first + ky * g.in_w + kx;
+        if (in[at] > best) {
+          best = in[at];
+          best_idx = static_cast<std::int32_t>(at);
+        }
+      }
+    }
+    out[x0] = best;
+    amax[x0] = best_idx;
+  }
+  const std::int64_t ye = std::min(ys + g.window, g.in_h);
+  for (std::int64_t x0 = count; x0 < ow; ++x0) {
+    const std::int64_t xs = x0 * g.stride;
+    const std::int64_t xe = std::min(xs + g.window, g.in_w);
+    float best = -std::numeric_limits<float>::infinity();
+    auto best_idx = static_cast<std::int32_t>(ys * g.in_w + xs);
+    for (std::int64_t iy = ys; iy < ye; ++iy) {
+      for (std::int64_t ix = xs; ix < xe; ++ix) {
+        if (in[iy * g.in_w + ix] > best) {
+          best = in[iy * g.in_w + ix];
+          best_idx = static_cast<std::int32_t>(iy * g.in_w + ix);
+        }
+      }
+    }
+    out[x0] = best;
+    amax[x0] = best_idx;
+  }
+}
+
+// Window sums of one output row, accumulated in (iy, ix) order: `count`
+// interior windows from x0 = 0 with the window size fixed (kWindow > 0)
+// and no clamps, then the row's clamped edge windows, each divided by
+// its own element count.
+template <std::int64_t kWindow>
+void avg_row(const float* in, const PoolGeom& g, std::int64_t y0,
+             std::int64_t count, std::int64_t ow, float* out) {
+  const std::int64_t w = kWindow > 0 ? kWindow : g.window;
+  const std::int64_t ys = y0 * g.stride;
+  for (std::int64_t x0 = 0; x0 < count; ++x0) {
+    const float* first = in + ys * g.in_w + x0 * g.stride;
+    float acc = 0.f;
+    for (std::int64_t ky = 0; ky < w; ++ky)
+      for (std::int64_t kx = 0; kx < w; ++kx) acc += first[ky * g.in_w + kx];
+    out[x0] = acc / static_cast<float>(w * w);
+  }
+  const std::int64_t ye = std::min(ys + g.window, g.in_h);
+  for (std::int64_t x0 = count; x0 < ow; ++x0) {
+    const std::int64_t xs = x0 * g.stride;
+    const std::int64_t xe = std::min(xs + g.window, g.in_w);
+    float acc = 0.f;
+    for (std::int64_t iy = ys; iy < ye; ++iy)
+      for (std::int64_t ix = xs; ix < xe; ++ix) acc += in[iy * g.in_w + ix];
+    out[x0] = acc / static_cast<float>((ye - ys) * (xe - xs));
+  }
+}
+
+// Gradient spread of one output row, in the same (x0, iy, ix) order as
+// a clamped loop over the whole row, so every input element receives
+// its shares in the same order: interior windows first (they come first
+// in x0), then the clamped edge windows.
+template <std::int64_t kWindow>
+void avg_row_backward(const float* dout, const PoolGeom& g, std::int64_t y0,
+                      std::int64_t count, std::int64_t ow, float* din) {
+  const std::int64_t w = kWindow > 0 ? kWindow : g.window;
+  const std::int64_t ys = y0 * g.stride;
+  for (std::int64_t x0 = 0; x0 < count; ++x0) {
+    float* first = din + ys * g.in_w + x0 * g.stride;
+    const float share = dout[x0] / static_cast<float>(w * w);
+    for (std::int64_t ky = 0; ky < w; ++ky)
+      for (std::int64_t kx = 0; kx < w; ++kx) first[ky * g.in_w + kx] += share;
+  }
+  const std::int64_t ye = std::min(ys + g.window, g.in_h);
+  for (std::int64_t x0 = count; x0 < ow; ++x0) {
+    const std::int64_t xs = x0 * g.stride;
+    const std::int64_t xe = std::min(xs + g.window, g.in_w);
+    const float share =
+        dout[x0] / static_cast<float>((ye - ys) * (xe - xs));
+    for (std::int64_t iy = ys; iy < ye; ++iy)
+      for (std::int64_t ix = xs; ix < xe; ++ix) din[iy * g.in_w + ix] += share;
+  }
+}
+
 }  // namespace
 
 Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
@@ -27,11 +136,17 @@ Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
   check_pool_input(x, g);
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor y({n, g.channels, oh, ow});
-  argmax.assign(static_cast<std::size_t>(y.numel()), 0);
+  // uninit / resize: every output and argmax element is written below.
+  Tensor y = Tensor::uninit(Shape({n, g.channels, oh, ow}));
+  argmax.resize(static_cast<std::size_t>(y.numel()));
 
   const std::int64_t in_plane = g.in_h * g.in_w;
   const std::int64_t out_plane = oh * ow;
+  const std::int64_t iy_count = interior_count(g.in_h, oh, g);
+  const std::int64_t ix_count = interior_count(g.in_w, ow, g);
+  const auto row = g.window == 2   ? max_row<2>
+                   : g.window == 3 ? max_row<3>
+                                   : max_row<0>;
   const float* px = x.raw();
   float* py = y.raw();
   std::int32_t* pa = argmax.data();
@@ -43,27 +158,9 @@ Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
           const float* in = px + static_cast<std::int64_t>(pc) * in_plane;
           float* out = py + static_cast<std::int64_t>(pc) * out_plane;
           std::int32_t* amax = pa + static_cast<std::int64_t>(pc) * out_plane;
-          for (std::int64_t y0 = 0; y0 < oh; ++y0) {
-            for (std::int64_t x0 = 0; x0 < ow; ++x0) {
-              const std::int64_t ys = y0 * g.stride;
-              const std::int64_t xs = x0 * g.stride;
-              const std::int64_t ye = std::min(ys + g.window, g.in_h);
-              const std::int64_t xe = std::min(xs + g.window, g.in_w);
-              float best = -std::numeric_limits<float>::infinity();
-              std::int32_t best_idx = 0;
-              for (std::int64_t iy = ys; iy < ye; ++iy) {
-                for (std::int64_t ix = xs; ix < xe; ++ix) {
-                  const float v = in[iy * g.in_w + ix];
-                  if (v > best) {
-                    best = v;
-                    best_idx = static_cast<std::int32_t>(iy * g.in_w + ix);
-                  }
-                }
-              }
-              out[y0 * ow + x0] = best;
-              amax[y0 * ow + x0] = best_idx;
-            }
-          }
+          for (std::int64_t y0 = 0; y0 < oh; ++y0)
+            row(in, g, y0, y0 < iy_count ? ix_count : 0, ow, out + y0 * ow,
+                amax + y0 * ow);
         }
       },
       2);
@@ -107,9 +204,15 @@ Tensor avgpool_forward(const Tensor& x, const PoolGeom& g, const Device& dev) {
   check_pool_input(x, g);
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor y({n, g.channels, oh, ow});
+  // uninit: every output element is written below.
+  Tensor y = Tensor::uninit(Shape({n, g.channels, oh, ow}));
   const std::int64_t in_plane = g.in_h * g.in_w;
   const std::int64_t out_plane = oh * ow;
+  const std::int64_t iy_count = interior_count(g.in_h, oh, g);
+  const std::int64_t ix_count = interior_count(g.in_w, ow, g);
+  const auto row = g.window == 2   ? avg_row<2>
+                   : g.window == 3 ? avg_row<3>
+                                   : avg_row<0>;
   const float* px = x.raw();
   float* py = y.raw();
 
@@ -119,20 +222,8 @@ Tensor avgpool_forward(const Tensor& x, const PoolGeom& g, const Device& dev) {
         for (std::size_t pc = lo; pc < hi; ++pc) {
           const float* in = px + static_cast<std::int64_t>(pc) * in_plane;
           float* out = py + static_cast<std::int64_t>(pc) * out_plane;
-          for (std::int64_t y0 = 0; y0 < oh; ++y0) {
-            for (std::int64_t x0 = 0; x0 < ow; ++x0) {
-              const std::int64_t ys = y0 * g.stride;
-              const std::int64_t xs = x0 * g.stride;
-              const std::int64_t ye = std::min(ys + g.window, g.in_h);
-              const std::int64_t xe = std::min(xs + g.window, g.in_w);
-              float acc = 0.f;
-              for (std::int64_t iy = ys; iy < ye; ++iy)
-                for (std::int64_t ix = xs; ix < xe; ++ix)
-                  acc += in[iy * g.in_w + ix];
-              const auto count = static_cast<float>((ye - ys) * (xe - xs));
-              out[y0 * ow + x0] = acc / count;
-            }
-          }
+          for (std::int64_t y0 = 0; y0 < oh; ++y0)
+            row(in, g, y0, y0 < iy_count ? ix_count : 0, ow, out + y0 * ow);
         }
       },
       2);
@@ -149,6 +240,11 @@ Tensor avgpool_backward(const Tensor& dy, const PoolGeom& g,
   Tensor dx({n, g.channels, g.in_h, g.in_w});
   const std::int64_t in_plane = g.in_h * g.in_w;
   const std::int64_t out_plane = oh * ow;
+  const std::int64_t iy_count = interior_count(g.in_h, oh, g);
+  const std::int64_t ix_count = interior_count(g.in_w, ow, g);
+  const auto row = g.window == 2   ? avg_row_backward<2>
+                   : g.window == 3 ? avg_row_backward<3>
+                                   : avg_row_backward<0>;
   const float* pdy = dy.raw();
   float* pdx = dx.raw();
 
@@ -158,19 +254,8 @@ Tensor avgpool_backward(const Tensor& dy, const PoolGeom& g,
         for (std::size_t pc = lo; pc < hi; ++pc) {
           const float* dout = pdy + static_cast<std::int64_t>(pc) * out_plane;
           float* din = pdx + static_cast<std::int64_t>(pc) * in_plane;
-          for (std::int64_t y0 = 0; y0 < oh; ++y0) {
-            for (std::int64_t x0 = 0; x0 < ow; ++x0) {
-              const std::int64_t ys = y0 * g.stride;
-              const std::int64_t xs = x0 * g.stride;
-              const std::int64_t ye = std::min(ys + g.window, g.in_h);
-              const std::int64_t xe = std::min(xs + g.window, g.in_w);
-              const auto count = static_cast<float>((ye - ys) * (xe - xs));
-              const float share = dout[y0 * ow + x0] / count;
-              for (std::int64_t iy = ys; iy < ye; ++iy)
-                for (std::int64_t ix = xs; ix < xe; ++ix)
-                  din[iy * g.in_w + ix] += share;
-            }
-          }
+          for (std::int64_t y0 = 0; y0 < oh; ++y0)
+            row(dout + y0 * ow, g, y0, y0 < iy_count ? ix_count : 0, ow, din);
         }
       },
       2);

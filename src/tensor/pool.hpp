@@ -34,8 +34,14 @@ struct PoolGeom {
   }
 };
 
-/// Max pool forward. `argmax` (same numel as the output) records the
-/// flat input offset of each selected element for the backward pass.
+/// Max pool forward. `argmax` (resized to the output's numel) records
+/// the flat in-plane input offset of each selected element for the
+/// backward pass. Each window is scanned in (iy, ix) order with strict
+/// `>`, so the first maximum wins and NaN is never selected; a window
+/// with no element above -inf keeps its first element's offset.
+/// Windows fully inside the input run a clamp-free loop specialised for
+/// windows 2 and 3 and vectorised across output columns; only ceil-mode
+/// edge windows are clamped. Both give the same bits.
 Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
                        std::vector<std::int32_t>& argmax,
                        const runtime::Device& dev);
@@ -45,11 +51,15 @@ Tensor maxpool_backward(const Tensor& dy, const PoolGeom& g,
                         const std::vector<std::int32_t>& argmax,
                         const runtime::Device& dev);
 
-/// Average pool forward.
+/// Average pool forward: the window sum in (iy, ix) order divided by the
+/// number of in-input elements (clamped on ceil-mode edges). Same
+/// interior/edge split as max pool, same bits as a clamped loop.
 Tensor avgpool_forward(const Tensor& x, const PoolGeom& g,
                        const runtime::Device& dev);
 
-/// Average pool backward: spreads dy uniformly over each window.
+/// Average pool backward: spreads dy uniformly over each window, windows
+/// in row-major output order, so every input element receives its
+/// shares in the same order as a clamped loop over the whole plane.
 Tensor avgpool_backward(const Tensor& dy, const PoolGeom& g,
                         const runtime::Device& dev);
 

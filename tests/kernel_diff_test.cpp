@@ -2,8 +2,9 @@
 // naive double-accumulation triple loop, and the im2col convolution
 // against the direct reference implementation, each across a large set
 // of randomized shapes; im2col/col2im against per-element oracles; the
-// pre-packed GEMM entry points against gemm_packed; plus determinism
-// checks (serial vs threaded, and run-to-run under threads).
+// pre-packed GEMM entry points and K-blocked kAccumulate chains against
+// gemm_packed; plus determinism checks (serial vs threaded, and
+// run-to-run under threads).
 
 #include <gtest/gtest.h>
 
@@ -277,10 +278,9 @@ TEST(KernelDiffTest, ConvForwardAndDxAreThreadCountDeterministic) {
   }
 }
 
-// dweight/dbias are reduced across batch chunks; the reduction merges
-// per-chunk partials in a fixed chunk order, so repeated threaded runs
-// must agree bit for bit, and any thread count must stay within float
-// tolerance of the serial reduction.
+// dweight/dbias are single chains over the whole batch, and each dW
+// tile has one owning worker, so threaded runs agree bit for bit with
+// each other and with the serial run.
 TEST(KernelDiffTest, ConvWeightGradsAreRunToRunDeterministicUnderThreads) {
   util::Rng rng(707);
   for (int it = 0; it < 8; ++it) {
@@ -312,9 +312,8 @@ TEST(KernelDiffTest, ConvWeightGradsAreRunToRunDeterministicUnderThreads) {
       expect_bitwise_equal(*conv.grads()[1], db_first, "dbias rep");
     }
 
-    // Serial vs threaded differ only by float summation order.
-    expect_close(dw_first, dw_serial, 1e-3, "dweight serial-vs-threaded");
-    expect_close(db_first, db_serial, 1e-3, "dbias serial-vs-threaded");
+    expect_bitwise_equal(dw_first, dw_serial, "dweight serial-vs-threaded");
+    expect_bitwise_equal(db_first, db_serial, "dbias serial-vs-threaded");
   }
 }
 
@@ -558,6 +557,70 @@ TEST(KernelDiffTest, PrepackedEntryPointsBitwiseMatchGemmPacked) {
                          d.n, ep, bias, dev);
         expect_bitwise_equal(got_a, want, what + " prepacked A");
         expect_bitwise_equal(got_b, want, what + " prepacked B");
+      }
+    }
+  }
+}
+
+// kAccumulate resumes each element's chain from C, and an fp32 store
+// and reload does not round, so a GEMM split into K blocks (the first
+// with kNone or kBiasRowInit, the rest with kAccumulate) equals the
+// single call bit for bit: every edge shape, 1/2/4 threads, through
+// gemm_packed and through gemm_prepacked on panels packed per block
+// into a C with a wider row stride.
+TEST(KernelDiffTest, KBlocksWithAccumulateBitwiseMatchSingleCall) {
+  util::Rng rng(1414);
+  for (const MatDims& d : kEdgeDims) {
+    Tensor a = Tensor::randn(Shape({d.m, d.k}), rng);
+    Tensor b = Tensor::randn(Shape({d.k, d.n}), rng);
+    Tensor bias_row = Tensor::randn(Shape({d.m}), rng);
+    // Blocks of 1, 2, 3, ... columns of K, so every block size from a
+    // single step up is covered.
+    std::vector<std::int64_t> starts;
+    for (std::int64_t k0 = 0, len = 1; k0 < d.k; k0 += len++)
+      starts.push_back(k0);
+    starts.push_back(d.k);
+    const std::int64_t ldc = d.n + 3;
+    for (const GemmEpilogue first :
+         {GemmEpilogue::kNone, GemmEpilogue::kBiasRowInit}) {
+      const float* bias = first == GemmEpilogue::kNone ? nullptr : bias_row.raw();
+      for (const int threads : {1, 2, 4}) {
+        const Device dev =
+            threads == 1 ? Device::cpu() : Device::parallel(threads);
+        const std::string what =
+            std::to_string(d.m) + "x" + std::to_string(d.k) + "x" +
+            std::to_string(d.n) + " first=" +
+            std::to_string(static_cast<int>(first)) +
+            " threads=" + std::to_string(threads);
+        Tensor want = Tensor::uninit(Shape({d.m, d.n}));
+        gemm_packed(a.raw(), d.k, 1, b.raw(), d.n, 1, want.raw(), d.m, d.k,
+                    d.n, first, bias, dev);
+        Tensor got = Tensor::uninit(Shape({d.m, d.n}));
+        Tensor wide(Shape({d.m, ldc}), 99.f);
+        for (std::size_t blk = 0; blk + 1 < starts.size(); ++blk) {
+          const std::int64_t k0 = starts[blk], kb = starts[blk + 1] - k0;
+          const GemmEpilogue ep = blk == 0 ? first : GemmEpilogue::kAccumulate;
+          gemm_packed(a.raw() + k0, d.k, 1, b.raw() + k0 * d.n, d.n, 1,
+                      got.raw(), d.m, kb, d.n, ep, bias, dev);
+          std::vector<float> pa(static_cast<std::size_t>(
+              gemm_row_panels(d.m) * kGemmMR * kb));
+          std::vector<float> pb(static_cast<std::size_t>(
+              gemm_col_panels(d.n) * kGemmNR * kb));
+          pack_a_panels(a.raw() + k0, d.k, 1, d.m, kb, pa.data(), dev);
+          pack_b_panels(b.raw() + k0 * d.n, d.n, 1, kb, d.n, pb.data(), dev);
+          gemm_prepacked(pa.data(), pb.data(), wide.raw(), ldc, d.m, kb, d.n,
+                         ep, bias, dev);
+        }
+        expect_bitwise_equal(got, want, what + " gemm_packed blocks");
+        Tensor narrowed = Tensor::uninit(Shape({d.m, d.n}));
+        for (std::int64_t r = 0; r < d.m; ++r)
+          for (std::int64_t j = 0; j < d.n; ++j)
+            narrowed.data()[r * d.n + j] = wide.at(r * ldc + j);
+        expect_bitwise_equal(narrowed, want, what + " gemm_prepacked blocks");
+        for (std::int64_t r = 0; r < d.m; ++r)
+          for (std::int64_t j = d.n; j < ldc; ++j)
+            ASSERT_EQ(wide.at(r * ldc + j), 99.f)
+                << what << ": wrote past n at row " << r;
       }
     }
   }

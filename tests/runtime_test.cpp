@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -9,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/device.hpp"
@@ -156,6 +158,41 @@ TEST(ThreadPool, GrainBoundsChunkCount) {
       /*grain=*/4096);
   EXPECT_EQ(chunks.load(), 2);  // ceil(5000 / 4096) = 2, not 4
   EXPECT_EQ(covered.load(), 5000u);
+}
+
+// Regression: the chunk count was min(workers, ceil(count / grain))
+// while the chunk size was rounded up, so count=5 on 4 workers cut
+// chunks of 2 and still dispatched a fourth, inverted range [6, 5).
+// Every dispatched range must be non-empty and ordered, and together
+// they must cover [0, count) exactly once.
+TEST(ThreadPool, RangesAreNonEmptyAndCoverExactlyOnce) {
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    ThreadPool pool(workers);
+    for (std::size_t count = 1; count <= 64; ++count) {
+      for (std::size_t grain = 1; grain <= 4; ++grain) {
+        std::mutex mu;
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        pool.parallel_for_ranges(
+            count,
+            [&](std::size_t lo, std::size_t hi) {
+              std::lock_guard<std::mutex> lock(mu);
+              ranges.emplace_back(lo, hi);
+            },
+            grain);
+        std::sort(ranges.begin(), ranges.end());
+        std::size_t next = 0;
+        for (const auto& [lo, hi] : ranges) {
+          ASSERT_LT(lo, hi) << "count=" << count << " workers=" << workers
+                            << " grain=" << grain;
+          ASSERT_EQ(lo, next) << "count=" << count << " workers=" << workers
+                              << " grain=" << grain;
+          next = hi;
+        }
+        ASSERT_EQ(next, count) << "count=" << count << " workers=" << workers
+                               << " grain=" << grain;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, DefaultGrainKeepsPerWorkerSplit) {
