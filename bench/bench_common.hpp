@@ -2,11 +2,10 @@
 
 // Shared helpers for the table/figure reproduction binaries.
 
-#include <array>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,6 +15,8 @@
 #include "bench/paper_values.hpp"
 #include "core/dlbench.hpp"
 #include "runtime/trace.hpp"
+#include "util/env.hpp"
+#include "util/error.hpp"
 
 namespace dlbench::bench {
 
@@ -47,7 +48,7 @@ class BenchSession {
         trace_summary_ = true;
       } else if (arg.rfind("--json-out=", 0) == 0) {
         json_out_ = arg.substr(11);
-      } else if (extra_flags && extra_flags(arg)) {
+      } else if (extra_flags && consumed(extra_flags, arg)) {
         // consumed by the binary
       } else {
         // A misspelled flag silently measuring the wrong configuration
@@ -75,74 +76,21 @@ class BenchSession {
 
   Harness& harness() { return *harness_; }
   const core::HarnessOptions& options() const { return options_; }
-  const std::vector<RunRecord>& records() const { return records_; }
-
-  /// Registers a finished cell: prints its one-line summary and keeps
-  /// it for the end-of-run JSON. Returns the stored record.
-  const RunRecord& add(RunRecord record) {
-    records_.push_back(std::move(record));
-    std::cout << core::summarize(records_.back()) << "\n";
-    return records_.back();
+  /// The cells of one record kind added so far, e.g.
+  /// records<core::ServeRecord>().
+  template <class R>
+  const std::vector<R>& records() const {
+    return records_.get<R>();
   }
 
-  /// Serving-cell variant; lands in the same --json-out (as a "serve"
-  /// array when both kinds are present).
-  const core::ServeRecord& add(core::ServeRecord record) {
-    serve_records_.push_back(std::move(record));
-    std::cout << core::summarize(serve_records_.back()) << "\n";
-    return serve_records_.back();
-  }
-
-  const std::vector<core::ServeRecord>& serve_records() const {
-    return serve_records_;
-  }
-
-  /// Adversarial-sweep variant; lands in the same --json-out (as an
-  /// "attack" array when other record kinds are present).
-  const core::AttackRecord& add(core::AttackRecord record) {
-    attack_records_.push_back(std::move(record));
-    std::cout << core::summarize(attack_records_.back()) << "\n";
-    return attack_records_.back();
-  }
-
-  const std::vector<core::AttackRecord>& attack_records() const {
-    return attack_records_;
-  }
-
-  /// Chaos-gauntlet variant; lands in the same --json-out (as a
-  /// "chaos" array when other record kinds are present).
-  const core::ChaosRecord& add(core::ChaosRecord record) {
-    chaos_records_.push_back(std::move(record));
-    std::cout << core::summarize(chaos_records_.back()) << "\n";
-    return chaos_records_.back();
-  }
-
-  const std::vector<core::ChaosRecord>& chaos_records() const {
-    return chaos_records_;
-  }
-
-  /// Multi-tenant fleet variant; lands in the same --json-out (as a
-  /// "tenants" array when other record kinds are present).
-  const core::TenantRecord& add(core::TenantRecord record) {
-    tenant_records_.push_back(std::move(record));
-    std::cout << core::summarize(tenant_records_.back()) << "\n";
-    return tenant_records_.back();
-  }
-
-  const std::vector<core::TenantRecord>& tenant_records() const {
-    return tenant_records_;
-  }
-
-  /// Data-parallel scaling variant; lands in the same --json-out (as a
-  /// "ddp" array when other record kinds are present).
-  const core::DdpRecord& add(core::DdpRecord record) {
-    ddp_records_.push_back(std::move(record));
-    std::cout << core::summarize(ddp_records_.back()) << "\n";
-    return ddp_records_.back();
-  }
-
-  const std::vector<core::DdpRecord>& ddp_records() const {
-    return ddp_records_;
+  /// Registers a finished cell of any record kind: prints its one-line
+  /// summary and keeps it for the end-of-run JSON. Returns the stored
+  /// record (valid until the next add of the same kind).
+  template <class R>
+  const R& add(R record) {
+    const R& stored = records_.add(std::move(record));
+    std::cout << core::summarize(stored) << "\n";
+    return stored;
   }
 
   /// Writes --json-out and closes the trace scope (writing --trace-out).
@@ -150,7 +98,7 @@ class BenchSession {
   void flush() {
     if (flushed_) return;
     flushed_ = true;
-    if (!json_out_.empty() && write_json(json_out_)) {
+    if (!json_out_.empty() && core::write_json(json_out_, records_.json())) {
       std::cout << "\nresults JSON: " << json_out_ << "\n";
     }
     if (trace_scope_.has_value()) {
@@ -162,66 +110,16 @@ class BenchSession {
   }
 
  private:
-  /// Single-kind runs keep the legacy top-level-array format
-  /// (nothing downstream breaks); mixed runs wrap the present arrays
-  /// in one object keyed "runs" / "serve" / "attack".
-  bool write_json(const std::string& path) const {
-    const int kinds = (serve_records_.empty() ? 0 : 1) +
-                      (attack_records_.empty() ? 0 : 1) +
-                      (chaos_records_.empty() ? 0 : 1) +
-                      (tenant_records_.empty() ? 0 : 1) +
-                      (ddp_records_.empty() ? 0 : 1) +
-                      (records_.empty() ? 0 : 1);
-    if (kinds <= 1) {
-      if (!serve_records_.empty())
-        return core::write_serve_records_json(path, serve_records_);
-      if (!attack_records_.empty())
-        return core::write_attack_records_json(path, attack_records_);
-      if (!chaos_records_.empty())
-        return core::write_chaos_records_json(path, chaos_records_);
-      if (!tenant_records_.empty())
-        return core::write_tenant_records_json(path, tenant_records_);
-      if (!ddp_records_.empty())
-        return core::write_ddp_records_json(path, ddp_records_);
-      return core::write_records_json(path, records_);
+  /// Runs a binary's flag handler. A handler throws dlbench::Error for a
+  /// malformed or out-of-range value, which ends the run like an
+  /// unknown flag does.
+  static bool consumed(const FlagHandler& handler, const std::string& arg) {
+    try {
+      return handler(arg);
+    } catch (const Error& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      std::exit(2);
     }
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "warning: cannot open " << path << " for writing\n";
-      return false;
-    }
-    out << "{";
-    bool first = true;
-    if (!records_.empty()) {
-      out << "\"runs\":" << core::records_json(records_);
-      first = false;
-    }
-    if (!serve_records_.empty()) {
-      out << (first ? "" : ",")
-          << "\"serve\":" << core::serve_records_json(serve_records_);
-      first = false;
-    }
-    if (!attack_records_.empty()) {
-      out << (first ? "" : ",")
-          << "\"attack\":" << core::attack_records_json(attack_records_);
-      first = false;
-    }
-    if (!chaos_records_.empty()) {
-      out << (first ? "" : ",")
-          << "\"chaos\":" << core::chaos_records_json(chaos_records_);
-      first = false;
-    }
-    if (!tenant_records_.empty()) {
-      out << (first ? "" : ",")
-          << "\"tenants\":" << core::tenant_records_json(tenant_records_);
-      first = false;
-    }
-    if (!ddp_records_.empty()) {
-      out << (first ? "" : ",")
-          << "\"ddp\":" << core::ddp_records_json(ddp_records_);
-    }
-    out << "}\n";
-    return out.good();
   }
 
   core::HarnessOptions options_;
@@ -233,12 +131,7 @@ class BenchSession {
   // so it does not arm its own per-cell scopes on top.
   std::optional<runtime::trace::TraceScope> trace_scope_;
   std::optional<Harness> harness_;
-  std::vector<RunRecord> records_;
-  std::vector<core::ServeRecord> serve_records_;
-  std::vector<core::AttackRecord> attack_records_;
-  std::vector<core::ChaosRecord> chaos_records_;
-  std::vector<core::TenantRecord> tenant_records_;
-  std::vector<core::DdpRecord> ddp_records_;
+  core::RecordSet records_;
 };
 
 /// FlagHandler for the attack benches' --attack-threads=N flag: number
@@ -247,11 +140,11 @@ class BenchSession {
 inline BenchSession::FlagHandler attack_threads_flag(int* threads) {
   return [threads](const std::string& arg) {
     if (arg.rfind("--attack-threads=", 0) != 0) return false;
-    *threads = std::atoi(arg.c_str() + 17);
-    if (*threads < 1) {
-      std::cerr << "error: --attack-threads must be >= 1\n";
-      std::exit(2);
-    }
+    const std::int64_t n =
+        util::parse_i64(arg.substr(17), "--attack-threads");
+    if (n < 1 || n > std::numeric_limits<int>::max())
+      throw Error("--attack-threads must be a positive int");
+    *threads = static_cast<int>(n);
     return true;
   };
 }
@@ -298,7 +191,7 @@ inline void print_vs_paper(const std::string& title,
                    util::format_seconds(p.test_s),
                    util::format_percent(r.eval.accuracy_pct),
                    util::format_percent(p.accuracy_pct),
-                   r.train.converged ? "yes" : "NO"});
+                   core::run_status(r)});
   }
   std::cout << table << "\n";
 }

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     std::cout << "\n"
               << core::ddp_table(
                      "Training scaling — shard-ordered all-reduce",
-                     session.ddp_records())
+                     session.records<core::DdpRecord>())
               << "\n";
     shape_check("every K-worker run reproduces K=1 bit for bit", all_bits);
     shape_check("straggler slows the clock, never the bits", straggler_bits);

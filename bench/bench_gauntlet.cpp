@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -196,8 +195,9 @@ int main(int argc, char** argv) {
           return true;
         }
         if (arg.rfind("--requests=", 0) == 0) {
-          requests = std::atoll(arg.c_str() + 11);
-          return requests > 0;
+          requests = dlbench::util::parse_i64(arg.substr(11), "--requests");
+          if (requests < 1) throw dlbench::Error("--requests must be >= 1");
+          return true;
         }
         return false;
       });
@@ -355,7 +355,8 @@ int main(int argc, char** argv) {
   {
     const ChaosRecord again = run_cell("crash(replay)", crash, hardened,
                                        open, inputs, base_p99, nullptr);
-    const ChaosRecord& first = session.chaos_records()[1];  // crash, sup
+    // crash, supervised
+    const ChaosRecord& first = session.records<ChaosRecord>()[1];
     dlbench::bench::shape_check(
         "gauntlet replay: deterministic event counts are identical",
         again.crashes == first.crashes && again.expired == first.expired &&
@@ -365,7 +366,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n"
             << dlbench::core::chaos_table("bench_gauntlet — all cells",
-                                          session.chaos_records())
+                                          session.records<ChaosRecord>())
             << "\n";
   session.flush();
   return 0;

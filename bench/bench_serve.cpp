@@ -29,7 +29,7 @@
 // --duration=SECONDS per cell.
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -140,8 +140,10 @@ int main(int argc, char** argv) {
           return true;
         }
         if (arg.rfind("--duration=", 0) == 0) {
-          duration_s = std::atof(arg.c_str() + 11);
-          return duration_s > 0.0;
+          duration_s = dlbench::util::parse_f64(arg.substr(11), "--duration");
+          if (!(duration_s > 0.0 && std::isfinite(duration_s)))
+            throw dlbench::Error("--duration must be finite and > 0");
+          return true;
         }
         return false;
       });
@@ -471,10 +473,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\n"
             << dlbench::core::serve_table("bench_serve — all cells",
-                                          session.serve_records())
+                                          session.records<ServeRecord>())
             << "\n";
   std::cout << dlbench::core::tenant_table("bench_serve — multi-tenant fleet",
-                                           session.tenant_records())
+                                           session.records<TenantRecord>())
             << "\n";
   session.flush();
   return 0;

@@ -88,14 +88,12 @@ tmp, out = sys.argv[1], sys.argv[2]
 
 
 def load(name, kind=None):
-    """Record list from a --json-out file: bare array when the bench
-    emitted one record kind, keyed object ("runs"/"serve"/...) when
-    mixed."""
+    """The records of one kind ("runs"/"serve"/"attack"/...) from a
+    --json-out document, which is always an object keyed by kind; the
+    whole document when kind is None (the GEMM micro's own JSON)."""
     with open(os.path.join(tmp, name)) as f:
         doc = json.load(f)
-    if isinstance(doc, dict) and kind is not None:
-        return doc[kind]
-    return doc
+    return doc if kind is None else doc[kind]
 
 
 gemm = next(b for b in load("gemm.json")["benchmarks"]

@@ -1,49 +1,19 @@
 #include "core/report.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "util/format.hpp"
+#include "util/json.hpp"
 
 namespace dlbench::core {
 
 namespace {
 
-// Shortest round-trippable representation; always valid JSON. JSON has
-// no NaN/Infinity literals, and the histogram's empty sentinel is NaN
-// (see runtime/histogram.hpp) — non-finite values emit null so a
-// fully-shed window never produces an unparsable or garbage p99.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", ch);
-          out += hex;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
+using util::json::num;
+using util::json::quoted;
 
 const char* boolean(bool b) { return b ? "true" : "false"; }
 
@@ -190,26 +160,6 @@ std::string record_json(const RunRecord& r) {
   return os.str();
 }
 
-std::string records_json(const std::vector<RunRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_records_json(const std::string& path,
-                        const std::vector<RunRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return false;
-  }
-  out << records_json(records);
-  return out.good();
-}
-
 namespace {
 
 // Latencies in ms with three decimals: serving numbers live in the
@@ -248,7 +198,7 @@ std::string summarize(const ServeRecord& r) {
   return os.str();
 }
 
-std::string serve_record_json(const ServeRecord& r) {
+std::string record_json(const ServeRecord& r) {
   std::ostringstream os;
   os << "{\"framework\":" << quoted(r.framework)
      << ",\"dataset\":" << quoted(r.dataset) << ",\"mode\":" << quoted(r.mode)
@@ -275,26 +225,6 @@ std::string serve_record_json(const ServeRecord& r) {
      << ",\"forward_mean_s\":" << num(r.forward_mean_s)
      << ",\"scatter_mean_s\":" << num(r.scatter_mean_s) << "}}";
   return os.str();
-}
-
-std::string serve_records_json(const std::vector<ServeRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << serve_record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_serve_records_json(const std::string& path,
-                              const std::vector<ServeRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return false;
-  }
-  out << serve_records_json(records);
-  return out.good();
 }
 
 namespace {
@@ -353,7 +283,7 @@ std::string summarize(const ChaosRecord& r) {
   return os.str();
 }
 
-std::string chaos_record_json(const ChaosRecord& r) {
+std::string record_json(const ChaosRecord& r) {
   std::ostringstream os;
   os << "{\"framework\":" << quoted(r.framework)
      << ",\"dataset\":" << quoted(r.dataset)
@@ -383,26 +313,6 @@ std::string chaos_record_json(const ChaosRecord& r) {
      << ",\"breaker_opens\":" << r.breaker_opens
      << ",\"breaker_closes\":" << r.breaker_closes << "}}";
   return os.str();
-}
-
-std::string chaos_records_json(const std::vector<ChaosRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << chaos_record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_chaos_records_json(const std::string& path,
-                              const std::vector<ChaosRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return false;
-  }
-  out << chaos_records_json(records);
-  return out.good();
 }
 
 util::Table tenant_table(const std::string& title,
@@ -440,7 +350,7 @@ std::string summarize(const TenantRecord& r) {
   return os.str();
 }
 
-std::string tenant_record_json(const TenantRecord& r) {
+std::string record_json(const TenantRecord& r) {
   std::ostringstream os;
   os << "{\"scenario\":" << quoted(r.scenario)
      << ",\"tenant\":" << quoted(r.tenant) << ",\"model\":" << quoted(r.model)
@@ -460,26 +370,6 @@ std::string tenant_record_json(const TenantRecord& r) {
      << ",\"scale_downs\":" << r.scale_downs
      << ",\"arena_bytes_each\":" << r.replica_arena_bytes << "}}";
   return os.str();
-}
-
-std::string tenant_records_json(const std::vector<TenantRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << tenant_record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_tenant_records_json(const std::string& path,
-                               const std::vector<TenantRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return false;
-  }
-  out << tenant_records_json(records);
-  return out.good();
 }
 
 util::Table ddp_table(const std::string& title,
@@ -517,7 +407,7 @@ std::string summarize(const DdpRecord& r) {
   return os.str();
 }
 
-std::string ddp_record_json(const DdpRecord& r) {
+std::string record_json(const DdpRecord& r) {
   std::ostringstream os;
   os << "{\"framework\":" << quoted(r.framework)
      << ",\"setting\":" << quoted(r.setting)
@@ -538,46 +428,6 @@ std::string ddp_record_json(const DdpRecord& r) {
   return os.str();
 }
 
-std::string ddp_records_json(const std::vector<DdpRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << ddp_record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_ddp_records_json(const std::string& path,
-                            const std::vector<DdpRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return false;
-  }
-  out << ddp_records_json(records);
-  return out.good();
-}
-
-util::Table attack_table(const std::string& title,
-                         const std::vector<AttackRecord>& records) {
-  util::Table table({"Framework", "Attack", "Thr", "Attacks", "Success",
-                     "Screen (s)", "Craft wall (s)", "mean (ms)", "p50 (ms)",
-                     "p95 (ms)", "p99 (ms)"});
-  table.set_title(title);
-  for (const auto& r : records) {
-    table.add_row({r.framework, r.attack, std::to_string(r.threads),
-                   std::to_string(r.attacks),
-                   util::format_fixed(r.success_rate, 3),
-                   util::format_seconds(r.screening_s),
-                   util::format_seconds(r.craft_wall_s),
-                   util::format_fixed(r.craft_mean_s * 1e3, 3),
-                   util::format_fixed(r.craft_p50_s * 1e3, 3),
-                   util::format_fixed(r.craft_p95_s * 1e3, 3),
-                   util::format_fixed(r.craft_p99_s * 1e3, 3)});
-  }
-  return table;
-}
-
 std::string summarize(const AttackRecord& r) {
   std::ostringstream os;
   os << r.framework << " " << r.attack << " [threads=" << r.threads << "] on "
@@ -590,7 +440,7 @@ std::string summarize(const AttackRecord& r) {
   return os.str();
 }
 
-std::string attack_record_json(const AttackRecord& r) {
+std::string record_json(const AttackRecord& r) {
   std::ostringstream os;
   os << "{\"framework\":" << quoted(r.framework)
      << ",\"setting\":" << quoted(r.setting)
@@ -610,35 +460,30 @@ std::string attack_record_json(const AttackRecord& r) {
   return os.str();
 }
 
-std::string attack_records_json(const std::vector<AttackRecord>& records) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    os << (i ? ",\n " : "\n ") << attack_record_json(records[i]);
-  os << "\n]\n";
-  return os.str();
-}
-
-bool write_attack_records_json(const std::string& path,
-                               const std::vector<AttackRecord>& records) {
+bool write_json(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::cerr << "warning: cannot open " << path << " for writing\n";
     return false;
   }
-  out << attack_records_json(records);
+  out << text;
   return out.good();
 }
 
-util::Table comparison_table(const std::string& title,
-                             const std::vector<PaperComparison>& rows) {
-  util::Table table({"Quantity", "Paper", "Measured", "Unit"});
-  table.set_title(title);
-  for (const auto& row : rows) {
-    table.add_row({row.label, util::format_fixed(row.paper_value, 2),
-                   util::format_fixed(row.measured_value, 2), row.unit});
-  }
-  return table;
+std::string RecordSet::json() const {
+  std::string out = "{";
+  const auto append = [&out](const char* key, const auto& list) {
+    if (list.empty()) return;
+    if (out.size() > 1) out += ",\n";
+    out += std::string("\"") + key + "\":" + records_json(list);
+  };
+  append("runs", get<RunRecord>());
+  append("serve", get<ServeRecord>());
+  append("attack", get<AttackRecord>());
+  append("chaos", get<ChaosRecord>());
+  append("tenants", get<TenantRecord>());
+  append("ddp", get<DdpRecord>());
+  return out + "}\n";
 }
 
 }  // namespace dlbench::core

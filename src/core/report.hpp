@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/harness.hpp"
@@ -29,17 +31,6 @@ std::string run_status(const RunRecord& record);
 void print_banner(const std::string& experiment_id,
                   const std::string& description,
                   const HarnessOptions& options);
-
-/// Paper-vs-measured comparison row: prints the paper's published value
-/// next to ours so benches double as EXPERIMENTS.md generators.
-struct PaperComparison {
-  std::string label;
-  double paper_value;
-  double measured_value;
-  std::string unit;
-};
-util::Table comparison_table(const std::string& title,
-                             const std::vector<PaperComparison>& rows);
 
 /// One serving-benchmark cell: the configuration swept plus the
 /// client-observed and server-observed outcome. Plain data on purpose —
@@ -83,6 +74,9 @@ struct ServeRecord {
 util::Table serve_table(const std::string& title,
                         const std::vector<ServeRecord>& records);
 
+/// One-line summary of a serving cell for log output.
+std::string summarize(const ServeRecord& record);
+
 /// One adversarial-sweep cell: which model was attacked, with what,
 /// and the crafting outcome — success rate plus the crafting-time
 /// distribution the paper's Table VIII reports. Plain data on purpose,
@@ -111,22 +105,8 @@ struct AttackRecord {
   double craft_max_s = 0.0;
 };
 
-/// Attack analogue of serve_table: Framework / Attack / Threads /
-/// Attacks / Success / wall / mean / p50 / p95 / p99.
-util::Table attack_table(const std::string& title,
-                         const std::vector<AttackRecord>& records);
-
 /// One-line summary of an attack cell for log output.
 std::string summarize(const AttackRecord& record);
-
-/// One attack cell as a JSON object / all cells as a JSON array.
-std::string attack_record_json(const AttackRecord& record);
-std::string attack_records_json(const std::vector<AttackRecord>& records);
-
-/// Writes attack_records_json to `path`; warns and returns false on
-/// filesystem errors, like write_records_json.
-bool write_attack_records_json(const std::string& path,
-                               const std::vector<AttackRecord>& records);
 
 /// One chaos-gauntlet cell: a serving run driven through a seeded fault
 /// schedule, reporting the robustness metric family (goodput, p99
@@ -186,15 +166,6 @@ util::Table chaos_table(const std::string& title,
 /// One-line summary of a chaos cell for log output.
 std::string summarize(const ChaosRecord& record);
 
-/// One chaos cell as a JSON object / all cells as a JSON array.
-std::string chaos_record_json(const ChaosRecord& record);
-std::string chaos_records_json(const std::vector<ChaosRecord>& records);
-
-/// Writes chaos_records_json to `path`; warns and returns false on
-/// filesystem errors, like write_records_json.
-bool write_chaos_records_json(const std::string& path,
-                              const std::vector<ChaosRecord>& records);
-
 /// One tenant of a multi-tenant fleet cell: who submitted, under what
 /// SLO class and fair share, and what they experienced — per-tenant
 /// tail latency, goodput, shed/reject counts, and the replica staffing
@@ -242,15 +213,6 @@ util::Table tenant_table(const std::string& title,
 /// One-line summary of a tenant cell for log output.
 std::string summarize(const TenantRecord& record);
 
-/// One tenant cell as a JSON object / all cells as a JSON array.
-std::string tenant_record_json(const TenantRecord& record);
-std::string tenant_records_json(const std::vector<TenantRecord>& records);
-
-/// Writes tenant_records_json to `path`; warns and returns false on
-/// filesystem errors, like write_records_json.
-bool write_tenant_records_json(const std::string& path,
-                               const std::vector<TenantRecord>& records);
-
 /// One data-parallel training-scaling cell: a framework setting trained
 /// with K workers, reporting the timing (step time, speedup, scaling
 /// efficiency vs the K=1 run of the same sweep) and the determinism
@@ -291,39 +253,64 @@ util::Table ddp_table(const std::string& title,
 /// One-line summary of a scaling cell for log output.
 std::string summarize(const DdpRecord& record);
 
-/// One scaling cell as a JSON object / all cells as a JSON array.
-std::string ddp_record_json(const DdpRecord& record);
-std::string ddp_records_json(const std::vector<DdpRecord>& records);
+// ---- Record JSON ---------------------------------------------------------
+// Every record kind serializes through one overload set, one array
+// writer and one results document, so the kinds and their JSON keys are
+// decided here and nowhere else.
 
-/// Writes ddp_records_json to `path`; warns and returns false on
-/// filesystem errors, like write_records_json.
-bool write_ddp_records_json(const std::string& path,
-                            const std::vector<DdpRecord>& records);
-
-/// One-line summary of a serving cell for log output.
-std::string summarize(const ServeRecord& record);
-
-/// One serving cell as a JSON object / all cells as a JSON array.
-std::string serve_record_json(const ServeRecord& record);
-std::string serve_records_json(const std::vector<ServeRecord>& records);
-
-/// Writes serve_records_json to `path`; warns and returns false on
-/// filesystem errors, like write_records_json.
-bool write_serve_records_json(const std::string& path,
-                              const std::vector<ServeRecord>& records);
-
-/// One record as a JSON object: identity + train (with the per-phase
-/// time breakdown and loss curve) + eval + the trace summary when the
-/// record carries one.
+/// One record as a JSON object: configuration, then outcome. A
+/// RunRecord adds the per-phase time breakdown, the loss curve, and the
+/// trace summary when the record carries one.
 std::string record_json(const RunRecord& record);
+std::string record_json(const ServeRecord& record);
+std::string record_json(const AttackRecord& record);
+std::string record_json(const ChaosRecord& record);
+std::string record_json(const TenantRecord& record);
+std::string record_json(const DdpRecord& record);
 
-/// All records as a JSON array.
-std::string records_json(const std::vector<RunRecord>& records);
+/// Records of one kind as a JSON array, one object per line.
+template <class R>
+std::string records_json(const std::vector<R>& records) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < records.size(); ++i)
+    out += (i ? ",\n " : "\n ") + record_json(records[i]);
+  return out + "\n]";
+}
 
-/// Writes records_json(records) to `path`; returns false (after
-/// printing a warning) on filesystem errors rather than throwing, so a
-/// finished sweep is never lost to a bad output path.
-bool write_records_json(const std::string& path,
-                        const std::vector<RunRecord>& records);
+/// Writes `text` to `path`; returns false (after printing a warning) on
+/// filesystem errors rather than throwing, so a finished sweep is never
+/// lost to a bad output path.
+bool write_json(const std::string& path, const std::string& text);
+
+/// The results of one run, every record kind side by side: what a
+/// bench's --json-out file holds.
+class RecordSet {
+ public:
+  /// Appends a record to its kind's list; returns the stored record,
+  /// which stays valid until the next add of the same kind.
+  template <class R>
+  const R& add(R record) {
+    auto& list = std::get<std::vector<R>>(lists_);
+    list.push_back(std::move(record));
+    return list.back();
+  }
+
+  /// The records of one kind, in the order they were added.
+  template <class R>
+  const std::vector<R>& get() const {
+    return std::get<std::vector<R>>(lists_);
+  }
+
+  /// The one document shape, keyed by kind in this fixed order:
+  /// {"runs":[…],"serve":[…],"attack":[…],"chaos":[…],"tenants":[…],
+  /// "ddp":[…]}. Empty kinds are left out; an empty set writes {}.
+  std::string json() const;
+
+ private:
+  std::tuple<std::vector<RunRecord>, std::vector<ServeRecord>,
+             std::vector<AttackRecord>, std::vector<ChaosRecord>,
+             std::vector<TenantRecord>, std::vector<DdpRecord>>
+      lists_;
+};
 
 }  // namespace dlbench::core

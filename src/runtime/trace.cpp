@@ -80,6 +80,7 @@ std::string TraceReport::summary_table() const {
 #include <unordered_set>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace dlbench::runtime::trace {
 
@@ -183,29 +184,6 @@ CounterCell& cell_for(ThreadBuffer& buf, const char* name, bool is_gauge) {
     if (c.name == name) return c;
   buf.counters.push_back(CounterCell{name, is_gauge});
   return buf.counters.back();
-}
-
-// Minimal JSON string escaping (names are ASCII identifiers/labels).
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", ch);
-          out += hex;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -336,8 +314,9 @@ std::string TraceScope::chrome_json() const {
       first = false;
       // Complete ("X") events, timestamps in microseconds relative to
       // scope activation.
-      os << "\n{\"name\":\"" << json_escaped(e.name) << "\",\"cat\":\""
-         << json_escaped(e.category) << "\",\"ph\":\"X\",\"ts\":"
+      os << "\n{\"name\":" << util::json::quoted(e.name)
+         << ",\"cat\":" << util::json::quoted(e.category)
+         << ",\"ph\":\"X\",\"ts\":"
          << util::format_fixed(
                 1e-3 * static_cast<double>(e.start_ns - state_->epoch_ns), 3)
          << ",\"dur\":"
@@ -350,8 +329,8 @@ std::string TraceScope::chrome_json() const {
     for (const CounterCell& c : buf->counters) {
       if (!first) os << ",";
       first = false;
-      os << "\n{\"name\":\"" << json_escaped(c.name)
-         << "\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"tid\":" << buf->tid
+      os << "\n{\"name\":" << util::json::quoted(c.name)
+         << ",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"tid\":" << buf->tid
          << ",\"args\":{\"value\":" << c.sum << "}}";
     }
   }

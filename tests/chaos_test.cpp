@@ -447,7 +447,7 @@ TEST(ChaosReport, EmptyPercentilesSerializeAsNullNeverGarbage) {
   record.faulted_p99_s = empty.percentile(99.0);
   record.p99_inflation = record.faulted_p99_s / record.baseline_p99_s;
   ASSERT_TRUE(std::isnan(record.latency_p99_s));
-  const std::string json = dlbench::core::chaos_record_json(record);
+  const std::string json = dlbench::core::record_json(record);
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
   EXPECT_NE(json.find("null"), std::string::npos) << json;
   const std::string table =

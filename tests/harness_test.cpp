@@ -89,14 +89,6 @@ TEST(Report, TableRendersRecords) {
   EXPECT_FALSE(summarize(rec).empty());
 }
 
-TEST(Report, ComparisonTable) {
-  util::Table t = comparison_table(
-      "cmp", {{"TF GPU train", 68.51, 12.3, "s"},
-              {"accuracy", 99.22, 98.5, "%"}});
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_NE(t.to_string().find("68.51"), std::string::npos);
-}
-
 TEST(HarnessOptions, EnvProfileDefaultsAreSane) {
   HarnessOptions opt = HarnessOptions::from_env();
   EXPECT_GT(opt.mnist_train, 0);

@@ -1,10 +1,13 @@
-// Unit tests for dlb_util: RNG, formatting, tables, entropy stats.
+// Unit tests for dlb_util: RNG, formatting, tables, entropy stats,
+// strict numeric parsing and JSON scalars.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -284,6 +288,62 @@ TEST(Env, NonNumericValueThrowsNamingTheVariable) {
                       [] { env_i64("DLB_TEST_ENV_I64", 2); });
   expect_throw_naming("DLB_TEST_ENV_F64",
                       [] { env_f64("DLB_TEST_ENV_F64", 2.0); });
+}
+
+// The benches' numeric flags parse through the same functions, and the
+// flag name is what the message names.
+TEST(Parse, AcceptsWholeValues) {
+  EXPECT_EQ(parse_i64("-42", "--n"), -42);
+  EXPECT_EQ(parse_i64("9223372036854775807", "--n"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(parse_f64("0.2", "--duration"), 0.2);
+  EXPECT_EQ(parse_f64("1e3", "--duration"), 1000.0);
+}
+
+TEST(Parse, RejectsWhatAtoiAndAtofWouldTruncate) {
+  expect_throw_naming("--attack-threads",
+                      [] { parse_i64("2x", "--attack-threads"); });
+  expect_throw_naming("--requests", [] { parse_i64("1e3", "--requests"); });
+  expect_throw_naming("--requests", [] { parse_i64("", "--requests"); });
+  expect_throw_naming("--requests",
+                      [] { parse_i64("9223372036854775808", "--requests"); });
+  expect_throw_naming("--duration", [] { parse_f64("0.2s", "--duration"); });
+  expect_throw_naming("--duration", [] { parse_f64("abc", "--duration"); });
+  expect_throw_naming("--duration", [] { parse_f64("", "--duration"); });
+}
+
+TEST(Json, NumRoundTripsBitExactly) {
+  const double values[] = {0.1 + 0.2,
+                           1.0 / 3.0,
+                           1.0 / 12.0,
+                           1e-300,
+                           5e-324,  // smallest subnormal
+                           9007199254740994.0,  // 2^53 + 2
+                           -1.7976931348623157e308,
+                           0.0,
+                           97.02};
+  for (const double v : values) {
+    const std::string text = json::num(v);
+    const double back = std::strtod(text.c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+  }
+  EXPECT_EQ(json::num(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json::num(97.02), "97.02");
+  EXPECT_EQ(json::num(-1.0), "-1");
+}
+
+TEST(Json, NonFiniteNumbersAreNull) {
+  EXPECT_EQ(json::num(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json::num(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json::num(-std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(Json, QuotedEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json::quoted("plain"), "\"plain\"");
+  EXPECT_EQ(json::quoted("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json::quoted("x\ny\tz"), "\"x\\ny\\tz\"");
+  EXPECT_EQ(json::quoted(std::string("\x01\x1f", 2)), "\"\\u0001\\u001f\"");
+  EXPECT_EQ(json::quoted("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
 }
 
 }  // namespace
