@@ -5,25 +5,26 @@
 // inference server under load. Four experiments:
 //
 //   1. Batching ablation (open loop). Offered load is fixed at 2x the
-//      measured max_batch=1 capacity, then max_batch sweeps 1 -> 8 ->
-//      32 on the parallel device. Larger batches spread each forward
-//      across more cores, so throughput rises and the p99 (queueing
-//      collapse at batch=1) falls.
+//      measured (warm) max_batch=32 capacity, then max_batch sweeps
+//      1 -> 8 -> 32 on the parallel device. Larger batches spread each
+//      forward across more cores, so throughput rises and the p99
+//      (queueing collapse at batch=1) falls.
 //   2. Replica scaling (closed loop, serial device): 1 -> 2 -> 4
 //      replicas, throughput from concurrency instead of batch width.
-//   3. Overload shedding (open loop at 4x capacity, small queue):
-//      admission control rejects past the watermark while queue depth
-//      stays bounded.
+//   3. Overload shedding (open loop at 4x the batch<=8 server's own
+//      capacity, small queue): admission control rejects past the
+//      watermark while queue depth stays bounded.
 //   4. Framework emulation sweep (closed loop): the TF / Caffe / Torch
 //      default MNIST nets served under one policy — the conv kernel and
 //      network defaults shift the whole latency distribution.
 //   5. Multi-tenant fleet (serve/fleet): mixed MNIST + CIFAR models
-//      behind one FleetManager at ~2x aggregate overload. An isolated
-//      gold-tenant baseline, then the weighted-fair + SLO-admission
-//      control plane against the FIFO/no-admission ablation (gold p99
-//      stays within a bounded factor of isolated while FIFO head-of-
-//      line blocking collapses it), plus a drained decision-log replay
-//      demonstrating the fleet determinism contract (DESIGN.md §14).
+//      behind one FleetManager, the bronze flood at 2x the fully
+//      staffed MNIST pool's capacity. An isolated gold-tenant baseline,
+//      then the weighted-fair + SLO-admission control plane against the
+//      FIFO/no-admission ablation (gold p99 stays within a bounded
+//      factor of isolated while FIFO head-of-line blocking collapses
+//      it), plus a drained decision-log replay demonstrating the fleet
+//      determinism contract (DESIGN.md §14).
 //
 // Flags: session flags plus --quick (shorter cells) and
 // --duration=SECONDS per cell.
@@ -152,9 +153,20 @@ int main(int argc, char** argv) {
   const FrameworkKind framework = FrameworkKind::kTensorFlow;
   const std::vector<Tensor> inputs = make_inputs(dataset, 64);
 
-  // Calibrate: peak closed-loop throughput with no batching, so the
-  // open-loop sweeps can pin offered load relative to capacity instead
-  // of hardcoding a machine-dependent rate.
+  // Calibrate: peak closed-loop throughput of each configuration an
+  // open-loop cell overloads, so offered load is pinned relative to
+  // that configuration's capacity instead of a machine-dependent rate.
+  // The first probe of a configuration runs cold (pool threads, plan
+  // arenas, caches) and under-reads its capacity, so every probe runs
+  // once unmeasured first.
+  const auto capacity = [&](const ServerOptions& sopts, int clients) {
+    LoadGenOptions probe;
+    probe.mode = LoadGenOptions::Mode::kClosedLoop;
+    probe.clients = clients;
+    probe.duration_s = duration_s;
+    (void)run_cell(framework, dataset, sopts, probe, inputs);
+    return run_cell(framework, dataset, sopts, probe, inputs).achieved_rps;
+  };
   ServerOptions base;
   base.sample_shape = dlbench::frameworks::sample_shape(dataset);
   base.replicas = 1;
@@ -162,28 +174,30 @@ int main(int argc, char** argv) {
   base.max_batch_delay_s = 0.0;
   base.device = Device::gpu();
   base.compute_probabilities = false;
-  LoadGenOptions probe;
-  probe.mode = LoadGenOptions::Mode::kClosedLoop;
-  probe.clients = 2;
-  probe.duration_s = duration_s;
-  const ServeRecord calib =
-      run_cell(framework, dataset, base, probe, inputs);
-  const double capacity_rps = calib.achieved_rps;
+  const double capacity_rps = capacity(base, 2);
   std::cout << "calibration: max_batch=1 capacity "
             << static_cast<long long>(capacity_rps) << " r/s\n\n";
 
-  // 1. Batching ablation at fixed offered load (2x capacity).
-  std::cout << "--- batching ablation (open loop, offered = 2x capacity) "
-               "---\n";
+  // 1. Batching ablation at a fixed offered load: 2x the capacity of
+  // the widest batch, so every cell is overloaded and serves at its own
+  // capacity. (At 2x the batch-1 rate, batch 8 already absorbs the
+  // whole load and batch 32 cannot show more.)
+  ServerOptions widest = base;
+  widest.max_batch = 32;
+  widest.max_batch_delay_s = 0.002;
+  const double widest_rps =
+      capacity(widest, static_cast<int>(2 * widest.max_batch));
+  std::cout << "--- batching ablation (open loop, offered = 2x the batch<=32 "
+               "capacity of "
+            << static_cast<long long>(widest_rps) << " r/s) ---\n";
   std::vector<ServeRecord> ablation;
   LoadGenOptions open;
   open.mode = LoadGenOptions::Mode::kOpenLoop;
-  open.offered_rps = 2.0 * capacity_rps;
+  open.offered_rps = 2.0 * widest_rps;
   open.duration_s = duration_s;
   for (const std::int64_t max_batch : {1, 8, 32}) {
-    ServerOptions sopts = base;
+    ServerOptions sopts = widest;
     sopts.max_batch = max_batch;
-    sopts.max_batch_delay_s = 0.002;
     ablation.push_back(
         session.add(run_cell(framework, dataset, sopts, open, inputs)));
   }
@@ -244,15 +258,22 @@ int main(int argc, char** argv) {
         scaling[2].achieved_rps > 0.5 * scaling[0].achieved_rps);
   }
 
-  // 3. Overload shedding: 4x capacity into a small queue.
-  std::cout << "\n--- overload shedding (open loop, offered = 4x capacity) "
-               "---\n";
+  // 3. Overload shedding: 4x the batched server's own capacity into a
+  // small queue. Batching multiplies capacity, so 4x the batch-1 rate
+  // does not overload a max_batch=8 server. The probe's clients stay
+  // below the admission watermark, so it measures service, not
+  // shedding.
   ServerOptions overload = base;
   overload.max_batch = 8;
   overload.max_batch_delay_s = 0.002;
   overload.queue_capacity = 64;  // watermark defaults to 48
+  const double overload_capacity_rps =
+      capacity(overload, static_cast<int>(4 * overload.max_batch));
+  std::cout << "\n--- overload shedding (open loop, offered = 4x the "
+               "batch<=8 capacity of "
+            << static_cast<long long>(overload_capacity_rps) << " r/s) ---\n";
   LoadGenOptions storm = open;
-  storm.offered_rps = 4.0 * capacity_rps;
+  storm.offered_rps = 4.0 * overload_capacity_rps;
   const ServeRecord shed =
       session.add(run_cell(framework, dataset, overload, storm, inputs));
   dlbench::bench::shape_check("overload sheds load (rejections observed)",
@@ -306,6 +327,19 @@ int main(int argc, char** argv) {
   cifar_cfg.dataset = DatasetId::kCifar10;
   const auto cifar_frozen = dlbench::frameworks::make_predictor(cifar_cfg);
 
+  // The MNIST model's pool at full staffing; the bronze flood is sized
+  // from its warm capacity.
+  ServerOptions mnist_pool = base;
+  mnist_pool.replicas = 3;
+  mnist_pool.max_batch = 4;
+  mnist_pool.max_batch_delay_s = 0.001;
+  const double mnist_pool_rps = capacity(
+      mnist_pool,
+      static_cast<int>(2 * mnist_pool.replicas * mnist_pool.max_batch));
+  std::cout << "calibration: fleet mnist pool (" << mnist_pool.replicas
+            << " replicas, batch<=" << mnist_pool.max_batch << ") capacity "
+            << static_cast<long long>(mnist_pool_rps) << " r/s\n";
+
   const auto make_fleet = [&](serve::FleetPolicy policy, bool slo_admission,
                               bool isolated) {
     serve::FleetOptions fo;
@@ -321,10 +355,10 @@ int main(int argc, char** argv) {
     mnist_model.sample_shape =
         dlbench::frameworks::sample_shape(DatasetId::kMnist);
     mnist_model.min_replicas = 1;
-    mnist_model.max_replicas = 3;
+    mnist_model.max_replicas = mnist_pool.replicas;
     mnist_model.window_per_replica = 4;
-    mnist_model.max_batch = 4;
-    mnist_model.max_batch_delay_s = 0.001;
+    mnist_model.max_batch = mnist_pool.max_batch;
+    mnist_model.max_batch_delay_s = mnist_pool.max_batch_delay_s;
     mnist_model.device = Device::gpu();
     fleet->register_model(mnist_model, mnist_frozen);
     serve::FleetModelConfig cifar_model = mnist_model;
@@ -343,15 +377,16 @@ int main(int argc, char** argv) {
     return fleet;
   };
 
-  // The bronze flood is pinned at 8x the batch-1 capacity so the mix
-  // overloads the fleet even where batching and spare cores buy several
-  // x of headroom; gold stays well inside its weighted share.
+  // The bronze flood alone offers 2x what the fully staffed MNIST pool
+  // serves, so the mix overloads the fleet wherever it runs. Gold and
+  // silver are light streams, a fraction of one unbatched replica's
+  // capacity, well inside their weighted shares.
   const serve::TenantStream gold_stream{"gold_mnist", 0.3 * capacity_rps};
   const std::vector<serve::TenantStream> iso_streams{gold_stream};
   const std::vector<serve::TenantStream> mixed_streams{
       gold_stream,
       {"silver_cifar", 0.1 * capacity_rps},
-      {"bronze_mnist", 8.0 * capacity_rps}};
+      {"bronze_mnist", 2.0 * mnist_pool_rps}};
   const std::vector<std::vector<Tensor>> iso_inputs{inputs};
   const std::vector<std::vector<Tensor>> mixed_inputs{inputs, cifar_inputs,
                                                       inputs};

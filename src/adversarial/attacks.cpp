@@ -91,47 +91,6 @@ AttackOutcome fgsm_attack(Sequential& model, const Tensor& x,
   return outcome;
 }
 
-AttackOutcome random_noise_attack(Sequential& model, const Tensor& x,
-                                  std::int64_t label,
-                                  const NoiseOptions& options,
-                                  const Context& ctx) {
-  DLB_CHECK(x.shape().rank() == 4 && x.dim(0) == 1,
-            "attack expects a single [1, C, H, W] sample");
-  DLB_CHECK(options.epsilon > 0.f, "epsilon must be positive");
-  DLB_CHECK(options.max_trials >= 1, "need at least one trial");
-
-  Context eval = ctx;
-  eval.training = false;
-  util::Rng rng(options.seed);
-
-  AttackOutcome outcome;
-  outcome.source_class = label;
-  runtime::Stopwatch clock;
-
-  Tensor best = x.clone();
-  for (int trial = 0; trial < options.max_trials; ++trial) {
-    Tensor candidate = x.clone();
-    float* pc = candidate.raw();
-    for (std::int64_t i = 0; i < candidate.numel(); ++i)
-      pc[i] += static_cast<float>(
-          rng.uniform(-options.epsilon, options.epsilon));
-    if (options.clip) candidate = tensor::clamp(candidate, 0.f, 1.f,
-                                                eval.device);
-    outcome.iterations = trial + 1;
-    const std::int64_t pred = predict_one(model, candidate, eval);
-    outcome.final_class = pred;
-    best = candidate;
-    if (pred != label) {
-      outcome.success = true;
-      break;
-    }
-  }
-  outcome.craft_time_s = clock.seconds();
-  outcome.distortion_l0 = l0_distortion(x, best);
-  outcome.adversarial_example = best;
-  return outcome;
-}
-
 Tensor logit_jacobian(Sequential& model, const Tensor& x,
                       std::int64_t classes, const Context& ctx) {
   DLB_CHECK(x.shape().rank() == 4 && x.dim(0) == 1,

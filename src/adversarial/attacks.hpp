@@ -54,24 +54,6 @@ AttackOutcome fgsm_attack(Sequential& model, const Tensor& x,
                           std::int64_t label, const FgsmOptions& options,
                           const Context& ctx);
 
-struct NoiseOptions {
-  /// Per-trial L-inf noise magnitude.
-  float epsilon = 0.02f;
-  /// Number of independent noise draws before giving up.
-  int max_trials = 50;
-  std::uint64_t seed = 7;
-  bool clip = true;
-};
-
-/// Random (untargeted) perturbation baseline — the paper's "random
-/// (untargeted) attacks" control: draws i.i.d. U(-eps, +eps) noise
-/// until the prediction flips or trials run out. Gradient-based FGSM
-/// should beat this decisively at equal epsilon.
-AttackOutcome random_noise_attack(Sequential& model, const Tensor& x,
-                                  std::int64_t label,
-                                  const NoiseOptions& options,
-                                  const Context& ctx);
-
 struct JsmaOptions {
   /// Per-step feature increment (clipped into [0,1]).
   float theta = 0.5f;

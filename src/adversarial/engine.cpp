@@ -1,13 +1,10 @@
 #include "adversarial/engine.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <vector>
 
+#include "runtime/device.hpp"
 #include "runtime/stopwatch.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 #include "util/error.hpp"
 
@@ -69,37 +66,17 @@ CraftTiming craft_units(
       replicas.push_back(model.clone());
   }
 
-  if (n_workers == 1) {
-    run_worker(replicas[0], unit_ctx, unit_count, 0, 1, attack,
-               histograms[0]);
-  } else {
-    // Completion latch, mirroring ThreadPool::parallel_for_ranges: the
-    // counter is decremented under the lock so the waiter cannot
-    // observe zero and destroy the mutex while a worker still holds it.
-    std::exception_ptr first_error;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::int64_t remaining = n_workers;
-    runtime::ThreadPool& pool = runtime::global_pool();
-    for (std::int64_t w = 0; w < n_workers; ++w) {
-      pool.submit([&, w] {
-        std::exception_ptr error;
-        try {
-          run_worker(replicas[static_cast<std::size_t>(w)], unit_ctx,
-                     unit_count, w, n_workers, attack,
-                     histograms[static_cast<std::size_t>(w)]);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (error && !first_error) first_error = error;
-        if (--remaining == 0) done_cv.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  // Worker w is one index of the fan-out. A single worker runs inline
+  // on the calling thread (Device::parallel_for's inline threshold).
+  runtime::Device::gpu().parallel_for(
+      static_cast<std::size_t>(n_workers),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t w = lo; w < hi; ++w)
+          run_worker(replicas[w], unit_ctx, unit_count,
+                     static_cast<std::int64_t>(w), n_workers, attack,
+                     histograms[w]);
+      },
+      1);
 
   timing.craft_wall_s = clock.seconds();
   // Worker-index order; exact bucket-wise sums make the result

@@ -7,7 +7,8 @@
 // independent *attack units*: one sample×attack for untargeted FGSM,
 // one sample×target for targeted JSMA. Units never share state — each
 // attack reads one set of weights and mutates only its own input copy —
-// so the engine fans them across runtime::global_pool() workers.
+// so the engine fans them across the workers of the process-wide
+// Device::gpu() pool.
 //
 // A Sequential is a training object: every layer caches activations in
 // forward() for the following backward(), so two threads cannot share
@@ -66,17 +67,19 @@ struct CraftTiming {
 };
 
 /// Runs `attack(replica, ctx, unit)` for every unit in [0, unit_count)
-/// across `threads` workers fanned over runtime::global_pool(). Worker
-/// w owns a private clone of `model` (cloned on the calling thread
-/// before dispatch) and processes units w, w+T,
-/// w+2T, … — assignment is load-balancing only; nothing about the
+/// across `threads` workers fanned out with Device::gpu().parallel_for.
+/// Worker w owns a private clone of `model` (cloned on the calling
+/// thread before dispatch) and processes units w, w+T, w+2T, … —
+/// assignment is load-balancing only; nothing about the
 /// results may depend on it (see determinism contract above). `ctx` is
 /// forwarded to the attack with its device replaced by the serial
 /// device. The double returned by `attack` is that unit's crafting
 /// time in seconds, recorded into the per-worker histogram. Exceptions
 /// from units propagate to the caller after all workers join (first
 /// one wins). `threads <= 1` runs every unit on the calling thread
-/// through the identical replica path.
+/// through the identical replica path. At most Device::gpu().workers()
+/// workers run at once (DLB_THREADS caps the pool), and like any
+/// fan-out it must not be called from a pool worker.
 ///
 /// Returns craft_wall_s, threads and the merged craft_time histogram;
 /// screening_s is the caller's phase and stays zero here.

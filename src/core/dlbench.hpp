@@ -18,7 +18,6 @@
 #include "adversarial/attacks.hpp"
 #include "core/harness.hpp"
 #include "core/report.hpp"
-#include "data/augment.hpp"
 #include "data/dataset.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"

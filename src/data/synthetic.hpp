@@ -26,14 +26,6 @@ struct MnistOptions {
   std::int64_t train_samples = 2000;
   std::int64_t test_samples = 500;
   std::uint64_t seed = 42;
-  /// Std-dev of additive background noise (clipped at 0).
-  double noise = 0.06;
-  /// Max absolute translation jitter in pixels.
-  int jitter = 2;
-  /// Probability that an individual stroke pixel is erased — degrades
-  /// glyphs so accuracy tops out near the paper's ~99.2% instead of a
-  /// trivially-clean 100%.
-  double stroke_dropout = 0.12;
 };
 
 /// Generates the paired train/test synthetic MNIST split.
@@ -43,9 +35,6 @@ struct CifarOptions {
   std::int64_t train_samples = 2000;
   std::int64_t test_samples = 500;
   std::uint64_t seed = 43;
-  /// Scales the texture noise and orientation jitter; 1.0 lands simple
-  /// CNNs in the paper's 60–90% band.
-  double difficulty = 1.0;
 };
 
 /// Generates the paired train/test synthetic CIFAR-10 split.

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -14,7 +10,6 @@
 #include "nn/plan.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 #include "util/env.hpp"
 
@@ -80,7 +75,9 @@ class ShardedGradients final : public detail::GradientSource {
         S_(shards),
         planners_(static_cast<std::size_t>(workers)),
         worker_fwd_(static_cast<std::size_t>(workers)),
-        worker_bwd_(static_cast<std::size_t>(workers)) {}
+        worker_bwd_(static_cast<std::size_t>(workers)),
+        workers_device_(
+            Device::parallel(static_cast<std::size_t>(workers))) {}
 
   void prepare(util::Rng& dropout_rng) override {
     // Replica compute is always serial: shard tasks run ON pool
@@ -118,8 +115,6 @@ class ShardedGradients final : public detail::GradientSource {
     for (Shard& sh : shard_state_)
       for (std::size_t p = 0; p < P; ++p)
         sh.grads.emplace_back(master_grads_[p]->shape());
-
-    pool_ = std::make_unique<runtime::ThreadPool>(static_cast<std::size_t>(K_));
   }
 
   double gradients(const data::Batch& batch, std::int64_t step,
@@ -210,65 +205,15 @@ class ShardedGradients final : public detail::GradientSource {
   // reaches the arithmetic — while letting K-1 healthy workers absorb a
   // straggler's backlog.
   void fan_out(std::int64_t step, PhaseBreakdown& phases) {
-    std::exception_ptr first_error;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    int remaining = K_;
     std::atomic<int> next_shard{0};
     const auto t_par = SteadyClock::now();
-    for (int w = 0; w < K_; ++w) {
-      pool_->submit([&, w] {
-        double fwd_s = 0.0, bwd_s = 0.0;
-        std::exception_ptr error;
-        try {
-          runtime::fault::maybe_stall_dp_worker(step, w);
-          nn::Sequential& replica = replicas_[static_cast<std::size_t>(w)];
-          nn::StepPlanner& planner = planners_[static_cast<std::size_t>(w)];
-          for (;;) {
-            const int s = next_shard.fetch_add(1);
-            if (s >= S_) break;
-            Shard& sh = shard_state_[static_cast<std::size_t>(s)];
-            if (sh.rows == 0) continue;
-            util::Rng shard_rng(shard_stream_seed(seed_, step, s));
-            nn::Context ctx;
-            ctx.device = Device::cpu();
-            ctx.training = true;
-            ctx.rng = &shard_rng;
-            // Plan extent: one shard's forward/backward, keyed by its
-            // row count. The grad copy-out stays inside (it allocates
-            // nothing; the slots are persistent).
-            auto plan_guard = planner.step(sh.rows);
-            replica.zero_grads();
-            const auto t_fwd = SteadyClock::now();
-            nn::LossResult loss =
-                replica.forward_loss(sh.images, sh.labels, ctx);
-            const auto t_bwd = SteadyClock::now();
-            fwd_s += secs_between(t_fwd, t_bwd);
-            replica.backward(loss, sh.labels, ctx);
-            bwd_s += secs_between(t_bwd, SteadyClock::now());
-            sh.loss = loss.loss;
-            const auto replica_grads = replica.grads();
-            for (std::size_t p = 0; p < sh.grads.size(); ++p) {
-              const auto src = replica_grads[p]->data();
-              auto dst = sh.grads[p].data();
-              std::copy(src.begin(), src.end(), dst.begin());
-            }
-          }
-        } catch (...) {
-          error = std::current_exception();
-        }
-        worker_fwd_[static_cast<std::size_t>(w)] = fwd_s;
-        worker_bwd_[static_cast<std::size_t>(w)] = bwd_s;
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (error && !first_error) first_error = error;
-        if (--remaining == 0) done_cv.notify_one();
-      });
-    }
-    {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    workers_device_.parallel_for(
+        static_cast<std::size_t>(K_),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t w = lo; w < hi; ++w)
+            drain_shards(step, static_cast<int>(w), next_shard);
+        },
+        1);
     const double par_s = secs_between(t_par, SteadyClock::now());
     // The parallel region is one wall-clock interval; split it into
     // forward/backward by the workers' own ratio so the breakdown
@@ -282,6 +227,47 @@ class ShardedGradients final : public detail::GradientSource {
       phases.forward_s += par_s * fwd_sum / (fwd_sum + bwd_sum);
       phases.backward_s += par_s * bwd_sum / (fwd_sum + bwd_sum);
     }
+  }
+
+  // Worker w's share of one step: claim shards until the queue is
+  // empty, each on replica w with its own planner.
+  void drain_shards(std::int64_t step, int w, std::atomic<int>& next_shard) {
+    const auto wi = static_cast<std::size_t>(w);
+    runtime::fault::maybe_stall_dp_worker(step, w);
+    nn::Sequential& replica = replicas_[wi];
+    nn::StepPlanner& planner = planners_[wi];
+    double fwd_s = 0.0, bwd_s = 0.0;
+    for (;;) {
+      const int s = next_shard.fetch_add(1);
+      if (s >= S_) break;
+      Shard& sh = shard_state_[static_cast<std::size_t>(s)];
+      if (sh.rows == 0) continue;
+      util::Rng shard_rng(shard_stream_seed(seed_, step, s));
+      nn::Context ctx;
+      ctx.device = Device::cpu();
+      ctx.training = true;
+      ctx.rng = &shard_rng;
+      // Plan extent: one shard's forward/backward, keyed by its row
+      // count. The grad copy-out stays inside (it allocates nothing;
+      // the slots are persistent).
+      auto plan_guard = planner.step(sh.rows);
+      replica.zero_grads();
+      const auto t_fwd = SteadyClock::now();
+      nn::LossResult loss = replica.forward_loss(sh.images, sh.labels, ctx);
+      const auto t_bwd = SteadyClock::now();
+      fwd_s += secs_between(t_fwd, t_bwd);
+      replica.backward(loss, sh.labels, ctx);
+      bwd_s += secs_between(t_bwd, SteadyClock::now());
+      sh.loss = loss.loss;
+      const auto replica_grads = replica.grads();
+      for (std::size_t p = 0; p < sh.grads.size(); ++p) {
+        const auto src = replica_grads[p]->data();
+        auto dst = sh.grads[p].data();
+        std::copy(src.begin(), src.end(), dst.begin());
+      }
+    }
+    worker_fwd_[wi] = fwd_s;
+    worker_bwd_[wi] = bwd_s;
   }
 
   const Framework& framework_;
@@ -301,11 +287,12 @@ class ShardedGradients final : public detail::GradientSource {
   // planners_[w], and the pool queue orders successive tasks).
   std::vector<nn::StepPlanner> planners_;
   // Per-step worker-side phase accumulators; each task writes only its
-  // own slot, the completion latch publishes them to the master.
+  // own slot, and parallel_for's join publishes them to the master.
   std::vector<double> worker_fwd_;
   std::vector<double> worker_bwd_;
-  // Last member: destroyed (workers joined) before anything they touch.
-  std::unique_ptr<runtime::ThreadPool> pool_;
+  // K pool workers (serial at K = 1). Last member: destroyed (workers
+  // joined) before anything they touch.
+  const Device workers_device_;
 };
 
 }  // namespace

@@ -60,7 +60,7 @@ struct GuardOptions {
 
 /// Harness-level knobs for one training run.
 struct TrainOptions {
-  runtime::ScaleConfig scale = runtime::ScaleConfig::bench_default();
+  runtime::ScaleConfig scale;
   std::uint64_t seed = 1234;
   /// Loss curve sampling interval, in optimizer steps.
   std::int64_t loss_record_interval = 10;

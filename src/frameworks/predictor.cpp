@@ -18,10 +18,6 @@ nn::FrozenModel make_predictor(const PredictorConfig& config) {
   return nn::FrozenModel::freeze(model);
 }
 
-nn::FrozenModel freeze_for_serving(const nn::Sequential& model) {
-  return nn::FrozenModel::freeze(model);
-}
-
 tensor::Shape sample_shape(DatasetId dataset) {
   switch (dataset) {
     case DatasetId::kMnist:

@@ -39,9 +39,6 @@ struct PredictorConfig {
 /// restores `config.checkpoint_path` if given, and freezes it.
 nn::FrozenModel make_predictor(const PredictorConfig& config);
 
-/// Freezes an already-trained model (e.g. Harness::train_model output).
-nn::FrozenModel freeze_for_serving(const nn::Sequential& model);
-
 /// Shape of one serving request sample for `dataset`: [C, H, W].
 tensor::Shape sample_shape(DatasetId dataset);
 

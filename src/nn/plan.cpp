@@ -10,6 +10,13 @@ namespace dlbench::nn {
 
 using util::env_i64;
 
+namespace {
+// Distinct signatures planned per planner; later ones stay on the heap
+// (a serve replica sees transient partial-batch sizes during ramp-up
+// that are not worth a dedicated arena each).
+constexpr std::size_t kMaxSignatures = 8;
+}  // namespace
+
 PlanOptions PlanOptions::from_env() { return from_env(PlanOptions{}); }
 
 PlanOptions PlanOptions::from_env(PlanOptions fallback) {
@@ -62,7 +69,7 @@ StepPlanner::StepGuard StepPlanner::step(std::int64_t signature) {
 
   auto it = signatures_.find(signature);
   if (it == signatures_.end()) {
-    if (static_cast<int>(signatures_.size()) >= options_.max_signatures)
+    if (signatures_.size() >= kMaxSignatures)
       return StepGuard(this, signature);  // over budget: plain heap
     it = signatures_
              .emplace(signature, std::make_unique<SignatureState>())

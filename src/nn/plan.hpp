@@ -55,10 +55,6 @@ struct PlanOptions {
   /// Largest arena one signature may seal; plans over the cap are
   /// discarded and the signature stays on the heap.
   std::int64_t arena_cap_bytes = std::int64_t{256} << 20;
-  /// Distinct signatures planned per planner; later ones stay on the
-  /// heap (a serve replica sees transient partial-batch sizes during
-  /// ramp-up that are not worth a dedicated arena each).
-  int max_signatures = 8;
 
   /// Reads DLB_PLAN, DLB_PLAN_WARMUP and DLB_PLAN_ARENA_CAP_MB over
   /// `fallback` (defaults above when omitted).

@@ -111,116 +111,6 @@ void Sgd::step(const std::vector<Tensor*>& params,
   }
 }
 
-// ---- Nesterov SGD ----
-
-NesterovSgd::NesterovSgd(LrSchedule schedule, double momentum,
-                         double weight_decay)
-    : schedule_(std::move(schedule)),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  DLB_CHECK(momentum >= 0.0 && momentum < 1.0, "momentum must be in [0,1)");
-  DLB_CHECK(weight_decay >= 0.0, "weight decay must be non-negative");
-}
-
-void NesterovSgd::step(const std::vector<Tensor*>& params,
-                       const std::vector<Tensor*>& grads, std::int64_t step,
-                       const Device& dev) {
-  check_param_grads(params, grads);
-  ensure_state(velocity_, params);
-  const auto lr = static_cast<float>(schedule_.rate(step));
-  const auto mu = static_cast<float>(momentum_);
-  const auto wd = static_cast<float>(weight_decay_);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* p = params[i]->raw();
-    const float* g = grads[i]->raw();
-    float* v = velocity_[i].raw();
-    dev.parallel_for(
-        static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            const float gk = g[k] + wd * p[k];
-            v[k] = mu * v[k] + gk;
-            // Nesterov lookahead: apply the momentum-extrapolated step.
-            p[k] -= lr * (gk + mu * v[k]);
-          }
-        },
-        4096);
-  }
-}
-
-// ---- AdaGrad ----
-
-AdaGrad::AdaGrad(LrSchedule schedule, double epsilon, double weight_decay)
-    : schedule_(std::move(schedule)),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  DLB_CHECK(epsilon > 0.0, "epsilon must be positive");
-  DLB_CHECK(weight_decay >= 0.0, "weight decay must be non-negative");
-}
-
-void AdaGrad::step(const std::vector<Tensor*>& params,
-                   const std::vector<Tensor*>& grads, std::int64_t step,
-                   const Device& dev) {
-  check_param_grads(params, grads);
-  ensure_state(accum_, params);
-  const auto lr = static_cast<float>(schedule_.rate(step));
-  const auto eps = static_cast<float>(epsilon_);
-  const auto wd = static_cast<float>(weight_decay_);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* p = params[i]->raw();
-    const float* g = grads[i]->raw();
-    float* a = accum_[i].raw();
-    dev.parallel_for(
-        static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            const float gk = g[k] + wd * p[k];
-            a[k] += gk * gk;
-            p[k] -= lr * gk / (std::sqrt(a[k]) + eps);
-          }
-        },
-        4096);
-  }
-}
-
-// ---- RMSProp ----
-
-RmsProp::RmsProp(LrSchedule schedule, double decay, double epsilon,
-                 double weight_decay)
-    : schedule_(std::move(schedule)),
-      decay_(decay),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  DLB_CHECK(decay >= 0.0 && decay < 1.0, "decay must be in [0,1)");
-  DLB_CHECK(epsilon > 0.0, "epsilon must be positive");
-}
-
-void RmsProp::step(const std::vector<Tensor*>& params,
-                   const std::vector<Tensor*>& grads, std::int64_t step,
-                   const Device& dev) {
-  check_param_grads(params, grads);
-  ensure_state(mean_square_, params);
-  const auto lr = static_cast<float>(schedule_.rate(step));
-  const auto rho = static_cast<float>(decay_);
-  const auto eps = static_cast<float>(epsilon_);
-  const auto wd = static_cast<float>(weight_decay_);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* p = params[i]->raw();
-    const float* g = grads[i]->raw();
-    float* ms = mean_square_[i].raw();
-    dev.parallel_for(
-        static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            const float gk = g[k] + wd * p[k];
-            ms[k] = rho * ms[k] + (1.f - rho) * gk * gk;
-            p[k] -= lr * gk / (std::sqrt(ms[k]) + eps);
-          }
-        },
-        4096);
-  }
-}
-
 // ---- Adam ----
 
 Adam::Adam(LrSchedule schedule, double beta1, double beta2, double epsilon,

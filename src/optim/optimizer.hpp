@@ -73,61 +73,6 @@ class Sgd final : public Optimizer {
   std::vector<Tensor> velocity_;  // lazily sized to params
 };
 
-/// SGD with Nesterov momentum (Torch's optim.sgd `nesterov` flag; the
-/// lookahead variant many 2015-era recipes preferred for CNNs).
-class NesterovSgd final : public Optimizer {
- public:
-  NesterovSgd(LrSchedule schedule, double momentum = 0.9,
-              double weight_decay = 0.0);
-
-  std::string name() const override { return "NesterovSGD"; }
-  void step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads, std::int64_t step,
-            const Device& dev) override;
-
- private:
-  LrSchedule schedule_;
-  double momentum_, weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-/// AdaGrad (Duchi et al.): per-parameter rates from accumulated
-/// squared gradients — one of the optimizer choices the frameworks
-/// under study shipped (caffe's ADAGRAD solver type).
-class AdaGrad final : public Optimizer {
- public:
-  AdaGrad(LrSchedule schedule, double epsilon = 1e-8,
-          double weight_decay = 0.0);
-
-  std::string name() const override { return "AdaGrad"; }
-  void step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads, std::int64_t step,
-            const Device& dev) override;
-
- private:
-  LrSchedule schedule_;
-  double epsilon_, weight_decay_;
-  std::vector<Tensor> accum_;
-};
-
-/// RMSProp (Hinton): exponentially decayed squared-gradient scaling —
-/// the optimizer TF's original CIFAR-10 multi-GPU recipes used.
-class RmsProp final : public Optimizer {
- public:
-  RmsProp(LrSchedule schedule, double decay = 0.9, double epsilon = 1e-8,
-          double weight_decay = 0.0);
-
-  std::string name() const override { return "RMSProp"; }
-  void step(const std::vector<Tensor*>& params,
-            const std::vector<Tensor*>& grads, std::int64_t step,
-            const Device& dev) override;
-
- private:
-  LrSchedule schedule_;
-  double decay_, epsilon_, weight_decay_;
-  std::vector<Tensor> mean_square_;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
 class Adam final : public Optimizer {
  public:

@@ -4,21 +4,9 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace dlbench::runtime {
-
-namespace {
-
-std::shared_ptr<ThreadPool> shared_global_pool() {
-  // One process-wide pool for all GPU devices: spawning a pool per
-  // Device would oversubscribe cores when experiments create devices
-  // in loops. Sized by env_pool_threads() — the one DLB_THREADS-aware
-  // sizing function every process-wide pool shares.
-  static std::shared_ptr<ThreadPool> pool =
-      std::make_shared<ThreadPool>(env_pool_threads());
-  return pool;
-}
-
-}  // namespace
 
 const CpuFeatures& cpu_features() {
   static const CpuFeatures features = [] {
@@ -57,7 +45,9 @@ SimdLevel active_simd_level() {
       // above what the build and the CPU support.
       if (v == "avx2") return std::min(best, SimdLevel::kAvx2Fma);
       if (v == "avx512" || v == "auto" || v.empty()) return best;
-      return SimdLevel::kScalar;  // unknown value: fail safe, stay portable
+      // A typo must not quietly run every GEMM on the portable kernel.
+      throw Error("DLB_SIMD=\"" + v +
+                  "\" is not one of scalar, avx2, avx512, auto or empty");
     }
     return best;
   }();
@@ -75,7 +65,15 @@ const char* simd_level_name(SimdLevel level) {
 
 Device Device::cpu() { return Device(Kind::kCpu, nullptr); }
 
-Device Device::gpu() { return Device(Kind::kGpu, shared_global_pool()); }
+Device Device::gpu() {
+  // The one process-wide pool: every GPU device, and every fan-out
+  // that is not a kernel (attack crafting), shares it. A pool per
+  // Device would oversubscribe cores when experiments create devices
+  // in loops.
+  static const std::shared_ptr<ThreadPool> pool =
+      std::make_shared<ThreadPool>(env_pool_threads());
+  return Device(Kind::kGpu, pool);
+}
 
 Device Device::parallel(std::size_t workers) {
   if (workers <= 1) return cpu();

@@ -42,8 +42,9 @@ enum class SimdLevel { kScalar, kAvx2Fma, kAvx512F };
 /// The dispatch decision: the highest level both built and supported,
 /// overridable with DLB_SIMD=scalar|avx2|avx512|auto (default auto; a
 /// request cannot raise the level above what build+CPU support, and
-/// "avx2" caps an AVX-512 host at the AVX2 tier). Resolved once on
-/// first call and cached.
+/// "avx2" caps an AVX-512 host at the AVX2 tier). Any other value
+/// throws dlbench::Error naming the variable. Resolved once on first
+/// call and cached.
 SimdLevel active_simd_level();
 
 /// "scalar", "avx2+fma" or "avx512f" — for logs, benches and reports.

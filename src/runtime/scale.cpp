@@ -35,23 +35,4 @@ ScaleConfig ScaleConfig::from_env(const ScaleConfig& fallback) {
   return cfg;
 }
 
-ScaleConfig ScaleConfig::bench_default() {
-  // ~2k train / 500 test samples per dataset; epoch counts shrunk so a
-  // full bench binary finishes in tens of seconds while keeping the
-  // cross-framework epoch *ratios* of Tables II/III.
-  ScaleConfig cfg;
-  cfg.data_fraction = 1.0;   // dataset generators already emit bench-size sets
-  cfg.epoch_fraction = 1.0;  // epoch ratios are encoded in the registry
-  cfg.max_step_cap = 0;
-  return cfg;
-}
-
-ScaleConfig ScaleConfig::test_default() {
-  ScaleConfig cfg;
-  cfg.data_fraction = 0.25;
-  cfg.epoch_fraction = 0.25;
-  cfg.max_step_cap = 200;
-  return cfg;
-}
-
 }  // namespace dlbench::runtime

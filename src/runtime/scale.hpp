@@ -35,14 +35,6 @@ struct ScaleConfig {
   /// Reads DLB_DATA_FRACTION / DLB_EPOCH_FRACTION / DLB_STEP_CAP from
   /// the environment, falling back to `fallback` for unset values.
   static ScaleConfig from_env(const ScaleConfig& fallback);
-
-  /// Default scale for the bundled benches: small enough that the whole
-  /// suite finishes in minutes on a laptop, large enough that every
-  /// paper comparison keeps its shape.
-  static ScaleConfig bench_default();
-
-  /// Tiny scale for unit/integration tests.
-  static ScaleConfig test_default();
 };
 
 }  // namespace dlbench::runtime

@@ -148,9 +148,4 @@ std::size_t env_pool_threads() {
   return std::max(2u, std::thread::hardware_concurrency());
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool(env_pool_threads());
-  return pool;
-}
-
 }  // namespace dlbench::runtime

@@ -70,16 +70,9 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Worker count for process-wide pools: DLB_THREADS when set (>= 1),
-/// otherwise all hardware cores (min 2). Both global_pool() and the
-/// Device::gpu() shared pool size themselves through this one function,
-/// so a DLB_THREADS thread-scaling sweep caps every pool — the attack
-/// engine's pool silently ignoring the knob is exactly the measurement
-/// corruption this exists to prevent.
+/// Worker count of the process-wide Device::gpu() pool: DLB_THREADS
+/// when set (>= 1), otherwise all hardware cores (min 2).
 std::size_t env_pool_threads();
-
-/// Process-wide pool sized by env_pool_threads(); lazily created.
-ThreadPool& global_pool();
 
 /// True on a thread owned by any ThreadPool while it executes a task.
 /// parallel_for_ranges checks this to refuse re-entrant fan-out (the

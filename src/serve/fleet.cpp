@@ -477,10 +477,8 @@ void FleetManager::log_locked(FleetDecisionKind kind,
                               const std::string& tenant,
                               const std::string& model, SloClass slo,
                               std::int64_t detail) {
-  const std::int64_t ordinal = decision_ordinal_++;
-  if (!options_.record_decisions) return;
   FleetDecision d;
-  d.ordinal = ordinal;
+  d.ordinal = decision_ordinal_++;
   d.kind = kind;
   d.tenant = tenant;
   d.model = model;
@@ -574,10 +572,9 @@ FleetLoadResult run_fleet_trace(
   for (const auto& arrival : trace) {
     const auto s = static_cast<std::size_t>(arrival.stream);
     if (options.realtime) {
-      const double offset_s = arrival.t_s * options.time_scale;
       std::this_thread::sleep_until(
           start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(offset_s)));
+                      std::chrono::duration<double>(arrival.t_s)));
     }
     const auto& set = inputs[s];
     const auto k = static_cast<std::size_t>(arrival_count[s]++) % set.size();

@@ -120,11 +120,6 @@ struct FleetOptions {
   /// Consecutive scale-down-candidate evaluations required before a
   /// replica is actually retired (hysteresis against flapping).
   int hysteresis_evals = 3;
-
-  /// Keep the full decision log (admission sheds, dispatches, scale
-  /// events). The determinism tests replay against it; long-lived live
-  /// deployments can turn it off.
-  bool record_decisions = true;
 };
 
 /// One registered model: a frozen predictor plus its serving knobs.
@@ -278,7 +273,7 @@ class FleetManager {
   void stop(bool drain = true);
 
   FleetStats stats() const;
-  /// Copy of the decision log (record_decisions only).
+  /// Copy of the decision log.
   std::vector<FleetDecision> decision_log() const;
   /// Registration index for `tenant` (DLB_CHECKs on unknown names).
   int tenant_index(const std::string& tenant) const;
@@ -387,9 +382,6 @@ struct FleetLoadOptions {
   /// overload cells). false: deterministic drain mode — pause, preload
   /// every arrival, resume and drain (the decision-log replay mode).
   bool realtime = true;
-  /// Arrival offsets are multiplied by this (compress a trace to run
-  /// faster than generated; realtime only).
-  double time_scale = 1.0;
 };
 
 /// Client-side view of one trace replay (per-tenant detail lives in

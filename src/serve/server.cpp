@@ -77,6 +77,9 @@ Prediction make_failure(RequestStatus status) {
   return p;
 }
 
+// Base retry backoff: retry attempt k waits kRetryBackoffS * 2^k.
+constexpr double kRetryBackoffS = 0.0005;
+
 // Comparator making push_heap/pop_heap a min-heap on ready_ns.
 constexpr auto heap_later = [](const auto& a, const auto& b) {
   return a.ready_ns > b.ready_ns;
@@ -205,10 +208,6 @@ std::future<Prediction> ModelServer::submit(tensor::Tensor input,
     req->deadline_ns =
         enqueue_ns +
         static_cast<std::int64_t>(submit_options.deadline_s * 1e9);
-  } else if (options_.default_deadline_s > 0.0) {
-    req->deadline_ns =
-        enqueue_ns +
-        static_cast<std::int64_t>(options_.default_deadline_s * 1e9);
   }
   queue_.push_back(Dispatch{std::move(req), 0, false});
   const auto depth = static_cast<std::int64_t>(queue_.size());
@@ -770,7 +769,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
         if (options_.supervise && dispatch.attempt < options_.max_retries &&
             !hard_stop_.load(std::memory_order_acquire)) {
           const std::int64_t backoff_ns = static_cast<std::int64_t>(
-              options_.retry_backoff_s * 1e9 *
+              kRetryBackoffS * 1e9 *
               static_cast<double>(std::int64_t{1} << dispatch.attempt));
           std::lock_guard<std::mutex> lock(mu_);
           retry_heap_.push_back(

@@ -87,8 +87,7 @@ const char* to_string(SloClass slo);
 
 /// Per-request submission policy (all optional).
 struct SubmitOptions {
-  /// Client deadline in seconds from submission; 0 uses the server's
-  /// default_deadline_s (which may itself be 0 = no deadline).
+  /// Client deadline in seconds from submission; 0 = no deadline.
   double deadline_s = 0.0;
   /// SLO class; bronze is sheddable when the circuit breaker is open.
   SloClass slo = SloClass::kSilver;
@@ -152,14 +151,10 @@ struct ServerOptions {
   /// A replica busy on one batch longer than this is abandoned and its
   /// slot restarted. 0 disables the stall watchdog.
   double stall_timeout_s = 0.0;
-  /// Default per-request deadline when SubmitOptions::deadline_s is 0.
-  /// 0 = requests never expire.
-  double default_deadline_s = 0.0;
   /// Re-dispatch attempts after a transient forward error (supervised
-  /// only; 0 = fail immediately with kError).
+  /// only; 0 = fail immediately with kError). Attempt k waits
+  /// 0.5 ms * 2^k before it is re-queued.
   int max_retries = 0;
-  /// Base retry backoff; attempt k waits retry_backoff_s * 2^k.
-  double retry_backoff_s = 0.0005;
   /// Hedge a request still unresolved this long after dispatch
   /// (supervised only; one hedge per request; 0 = off).
   double hedge_delay_s = 0.0;

@@ -323,61 +323,5 @@ TEST(Sweeps, JsmaSweepBookkeeping) {
 }
 
 
-TEST(NoiseBaseline, StaysWithinEpsilonAndClips) {
-  auto& fx = fixture();
-  Context ctx = cpu_ctx();
-  tensor::Tensor x = fx.mnist.test.sample(4);
-  NoiseOptions opt;
-  opt.epsilon = 0.05f;
-  opt.max_trials = 5;
-  AttackOutcome out =
-      random_noise_attack(fx.model, x, fx.mnist.test.labels[4], opt, ctx);
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const float v = out.adversarial_example.at(i);
-    EXPECT_GE(v, 0.f);
-    EXPECT_LE(v, 1.f);
-    EXPECT_LE(std::fabs(v - std::clamp(x.at(i), 0.f, 1.f)),
-              opt.epsilon + 1e-5f);
-  }
-  EXPECT_LE(out.iterations, opt.max_trials);
-}
-
-TEST(NoiseBaseline, GradientAttackBeatsRandomAtEqualBudget) {
-  // The paper contrasts gradient-crafted examples with random
-  // (untargeted) perturbations; FGSM must win at the same epsilon.
-  auto& fx = fixture();
-  Context ctx = cpu_ctx();
-  int fgsm_wins = 0, noise_wins = 0;
-  FgsmOptions fgsm;
-  fgsm.epsilon = 0.01f;
-  fgsm.max_iterations = 10;
-  NoiseOptions noise;
-  noise.epsilon = 0.10f;  // even with 10x the budget...
-  noise.max_trials = 10;
-  for (std::int64_t i = 0; i < 12; ++i) {
-    tensor::Tensor x = fx.mnist.test.sample(i);
-    const std::int64_t label =
-        fx.mnist.test.labels[static_cast<std::size_t>(i)];
-    if (fgsm_attack(fx.model, x, label, fgsm, ctx).success) ++fgsm_wins;
-    if (random_noise_attack(fx.model, x, label, noise, ctx).success)
-      ++noise_wins;
-  }
-  EXPECT_GE(fgsm_wins, noise_wins);
-}
-
-TEST(NoiseBaseline, RejectsBadArguments) {
-  auto& fx = fixture();
-  Context ctx = cpu_ctx();
-  tensor::Tensor x = fx.mnist.test.sample(0);
-  NoiseOptions opt;
-  opt.epsilon = 0.f;
-  EXPECT_THROW(random_noise_attack(fx.model, x, 0, opt, ctx),
-               dlbench::Error);
-  opt.epsilon = 0.1f;
-  opt.max_trials = 0;
-  EXPECT_THROW(random_noise_attack(fx.model, x, 0, opt, ctx),
-               dlbench::Error);
-}
-
 }  // namespace
 }  // namespace dlbench::adversarial

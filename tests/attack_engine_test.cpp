@@ -6,8 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adversarial/attacks.hpp"
@@ -239,6 +242,48 @@ TEST(CraftUnits, ZeroUnitsIsANoop) {
         return 0.0;
       });
   EXPECT_EQ(t.craft_time.count(), 0);
+}
+
+// Crafting fans out through the one process-wide Device::gpu() pool:
+// with DLB_THREADS=3, a GPU kernel plus a 2-thread crafting call add 3
+// threads to the process, not a second pool's 3 more. Under ctest each
+// TEST runs in its own process, so both calls here create what they
+// use.
+TEST(CraftUnits, SharesTheDevicePool) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  const auto threads_now = [] {
+    std::int64_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  ::setenv("DLB_THREADS", "3", 1);
+  const auto fw = frameworks::make_framework(FrameworkKind::kCaffe);
+  util::Rng rng(3);
+  const nn::Sequential model = fw->build_model(
+      frameworks::default_network_spec(FrameworkKind::kCaffe,
+                                       DatasetId::kMnist),
+      Device::cpu(), rng);
+  // Sanitizer runtimes start a helper thread at the first thread
+  // creation; create (and join) one before taking the baseline.
+  std::thread([] {}).join();
+  const std::int64_t before = threads_now();
+
+  Device::gpu().parallel_for(64, [](std::size_t, std::size_t) {}, 1);
+  CraftTiming t = craft_units(
+      model, gpu_ctx(), /*unit_count=*/4, /*threads=*/2,
+      [](nn::Sequential&, const Context&, std::int64_t) { return 1e-4; });
+  ::unsetenv("DLB_THREADS");
+
+  EXPECT_EQ(t.threads, 2);
+  EXPECT_EQ(t.craft_time.count(), 4);
+  EXPECT_EQ(threads_now() - before, 3);
+#endif
 }
 
 }  // namespace

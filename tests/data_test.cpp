@@ -9,6 +9,7 @@
 
 #include "data/dataset.hpp"
 #include "data/synthetic.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::data {
@@ -115,6 +116,28 @@ TEST(SyntheticData, MnistIsSparserAndLowerEntropyThanCifar) {
   EXPECT_GT(ms.sparsity, 0.5);              // mostly background
   EXPECT_LT(cs.sparsity, 0.2);              // dense textures
   EXPECT_LT(ms.pixel_entropy_bits, cs.pixel_entropy_bits);
+}
+
+// The generators' fixed shape parameters (background noise, jitter,
+// stroke dropout, texture difficulty) are constants: the default
+// datasets must stay bit-identical, or every golden and paper
+// comparison drifts with them. The CRCs are those of an FMA-contracting
+// x86-64 build (the default -march=native on AVX2 hosts).
+std::uint32_t split_crc(const Dataset& d) {
+  std::uint32_t crc = util::crc32(
+      d.images.raw(),
+      static_cast<std::size_t>(d.images.numel()) * sizeof(float));
+  return util::crc32_update(crc, d.labels.data(),
+                            d.labels.size() * sizeof(std::int64_t));
+}
+
+TEST(SyntheticData, DefaultDatasetsAreBitStable) {
+  DatasetPair mnist = synthetic_mnist({});
+  DatasetPair cifar = synthetic_cifar10({});
+  EXPECT_EQ(split_crc(mnist.train), 0xf537d63fu);
+  EXPECT_EQ(split_crc(mnist.test), 0x40468ff3u);
+  EXPECT_EQ(split_crc(cifar.train), 0xc24ffa89u);
+  EXPECT_EQ(split_crc(cifar.test), 0x5b23c63au);
 }
 
 TEST(Dataset, TakeCopiesPrefix) {

@@ -162,69 +162,5 @@ TEST(Optim, ParallelDeviceMatchesSerial) {
     ASSERT_EQ(w1.at(i), w2.at(i));
 }
 
-
-TEST(NesterovSgd, FirstStepAppliesLookahead) {
-  Tensor w(Shape({1}), std::vector<float>{0.f});
-  Tensor g(Shape({1}), std::vector<float>{1.f});
-  NesterovSgd opt(LrSchedule(0.1), 0.9);
-  opt.step({&w}, {&g}, 0, Device::cpu());
-  // v = 1; update = lr * (g + mu * v) = 0.1 * 1.9.
-  EXPECT_NEAR(w.at(0), -0.19f, 1e-6f);
-}
-
-TEST(NesterovSgd, ConvergesOnQuadratic) {
-  Tensor w(Shape({1}), std::vector<float>{0.f});
-  NesterovSgd opt(LrSchedule(0.05), 0.9);
-  for (int step = 0; step < 200; ++step) {
-    Tensor g(Shape({1}), std::vector<float>{2.f * (w.at(0) - 3.f)});
-    opt.step({&w}, {&g}, step, Device::cpu());
-  }
-  EXPECT_NEAR(w.at(0), 3.f, 0.05f);
-}
-
-TEST(AdaGrad, RatesShrinkWithAccumulatedGradient) {
-  Tensor w(Shape({1}), std::vector<float>{0.f});
-  Tensor g(Shape({1}), std::vector<float>{1.f});
-  AdaGrad opt(LrSchedule(0.1));
-  opt.step({&w}, {&g}, 0, Device::cpu());
-  const float first = -w.at(0);  // ~0.1
-  const float before = w.at(0);
-  opt.step({&w}, {&g}, 1, Device::cpu());
-  const float second = before - w.at(0);
-  EXPECT_GT(first, second);  // accumulated curvature damps the step
-  EXPECT_NEAR(first, 0.1f, 1e-3f);
-}
-
-TEST(AdaGrad, RejectsBadEpsilon) {
-  EXPECT_THROW(AdaGrad(LrSchedule(0.1), 0.0), dlbench::Error);
-}
-
-TEST(RmsProp, StepMagnitudeIsScaleInvariant) {
-  for (float scale : {0.01f, 1.f, 100.f}) {
-    Tensor w(Shape({1}), std::vector<float>{0.f});
-    Tensor g(Shape({1}), std::vector<float>{scale});
-    RmsProp opt(LrSchedule(0.01), 0.9);
-    // After a few steps the mean-square estimate tracks g^2 and the
-    // step approaches lr / sqrt(1 - rho^t)-ish regardless of scale.
-    for (int s = 0; s < 5; ++s) opt.step({&w}, {&g}, s, Device::cpu());
-    EXPECT_LT(std::fabs(w.at(0)), 0.2f) << scale;
-    EXPECT_GT(std::fabs(w.at(0)), 0.01f) << scale;
-  }
-}
-
-TEST(RmsProp, ConvergesOnQuadratic) {
-  Tensor w(Shape({1}), std::vector<float>{0.f});
-  RmsProp opt(LrSchedule(0.05), 0.9);
-  for (int step = 0; step < 400; ++step) {
-    Tensor g(Shape({1}), std::vector<float>{2.f * (w.at(0) - 3.f)});
-    opt.step({&w}, {&g}, step, Device::cpu());
-  }
-  EXPECT_NEAR(w.at(0), 3.f, 0.1f);
-}
-
-TEST(RmsProp, RejectsBadDecay) {
-  EXPECT_THROW(RmsProp(LrSchedule(0.1), 1.0), dlbench::Error);
-}
-
 }  // namespace
 }  // namespace dlbench::optim

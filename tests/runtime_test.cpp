@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -112,16 +113,15 @@ TEST(ThreadPool, ManySmallDispatchesAreStable) {
 }
 
 // Regression: DLB_THREADS used to size only the device-facing pool;
-// runtime::global_pool() ignored it and came up at hardware width no
-// matter what the knob said. Both pools now size through one shared
-// env-aware function. (Under ctest every TEST runs in its own process,
+// the attack engine's pool ignored it and came up at hardware width no
+// matter what the knob said. The one process-wide pool sizes through
+// env_pool_threads(). (Under ctest every TEST runs in its own process,
 // so this test is the first touch of the shared pool and the sizing
 // it observes is the creation-time sizing. It is also registered
 // before any Device test for whole-binary runs.)
 TEST(ThreadPool, EnvSizingHonorsDlbThreads) {
   ::setenv("DLB_THREADS", "3", 1);
   EXPECT_EQ(env_pool_threads(), 3u);
-  EXPECT_EQ(global_pool().size(), 3u);
   EXPECT_EQ(Device::gpu().workers(), 3u);
   ::unsetenv("DLB_THREADS");
   const std::size_t fallback =
@@ -281,6 +281,23 @@ TEST(Device, GrainKeepsSmallWorkInline) {
   },
                    /*grain=*/16);
   EXPECT_EQ(calls, 1);
+}
+
+// A mistyped DLB_SIMD used to select the portable kernel silently.
+// Nothing in this binary resolves the level before this test, so under
+// ctest (one process per TEST) and in whole-binary runs alike it reads
+// the variable fresh.
+TEST(Device, UnknownSimdLevelThrows) {
+  ::setenv("DLB_SIMD", "avx", 1);
+  try {
+    (void)active_simd_level();
+    ADD_FAILURE() << "DLB_SIMD=avx was accepted";
+  } catch (const dlbench::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("DLB_SIMD"), std::string::npos) << what;
+    EXPECT_NE(what.find("avx512"), std::string::npos) << what;
+  }
+  ::unsetenv("DLB_SIMD");
 }
 
 TEST(Scale, SamplesScaleWithFloor) {
