@@ -20,6 +20,7 @@
 #
 # Usage: scripts/sanitize_check.sh [build-dir]   (default: build-asan)
 # Equivalent preset: cmake --preset sanitize && cmake --build --preset sanitize
+#                    && ctest --preset sanitize
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

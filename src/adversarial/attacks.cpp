@@ -5,11 +5,13 @@
 
 #include "adversarial/engine.hpp"
 #include "nn/frozen.hpp"
-#include "runtime/stopwatch.hpp"
+#include "runtime/trace.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::adversarial {
+
+using runtime::trace::Span;
 
 namespace {
 
@@ -65,27 +67,28 @@ AttackOutcome fgsm_attack(Sequential& model, const Tensor& x,
 
   AttackOutcome outcome;
   outcome.source_class = label;
-  runtime::Stopwatch clock;
+  Tensor adv;
+  {
+    Span craft(nullptr, nullptr, &outcome.craft_time_s);
+    adv = x.clone();
+    const std::vector<std::int64_t> labels{label};
+    for (int it = 0; it < options.max_iterations; ++it) {
+      nn::LossResult loss = model.forward_loss(adv, labels, eval);
+      Tensor dx = model.backward(loss, labels, eval);
+      Tensor step = tensor::sign(dx, eval.device);
+      tensor::axpy_inplace(adv, options.epsilon, step, eval.device);
+      if (options.clip) adv = tensor::clamp(adv, 0.f, 1.f, eval.device);
+      outcome.iterations = it + 1;
 
-  Tensor adv = x.clone();
-  const std::vector<std::int64_t> labels{label};
-  for (int it = 0; it < options.max_iterations; ++it) {
-    nn::LossResult loss = model.forward_loss(adv, labels, eval);
-    Tensor dx = model.backward(loss, labels, eval);
-    Tensor step = tensor::sign(dx, eval.device);
-    tensor::axpy_inplace(adv, options.epsilon, step, eval.device);
-    if (options.clip) adv = tensor::clamp(adv, 0.f, 1.f, eval.device);
-    outcome.iterations = it + 1;
-
-    const std::int64_t pred = predict_one(model, adv, eval);
-    if (pred != label) {
-      outcome.success = true;
+      const std::int64_t pred = predict_one(model, adv, eval);
+      if (pred != label) {
+        outcome.success = true;
+        outcome.final_class = pred;
+        break;
+      }
       outcome.final_class = pred;
-      break;
     }
-    outcome.final_class = pred;
   }
-  outcome.craft_time_s = clock.seconds();
   outcome.distortion_l0 = l0_distortion(x, adv);
   outcome.adversarial_example = adv;
   return outcome;
@@ -110,78 +113,73 @@ AttackOutcome jsma_attack(Sequential& model, const Tensor& x,
   const Context eval = attack_context(ctx);
 
   AttackOutcome outcome;
-  runtime::Stopwatch clock;
+  Tensor adv;
+  {
+    Span craft(nullptr, nullptr, &outcome.craft_time_s);
+    adv = x.clone();
+    const std::int64_t d = adv.numel();
+    const int max_iterations = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(options.max_distortion *
+                                     static_cast<double>(d)));
 
-  Tensor adv = x.clone();
-  const std::int64_t d = adv.numel();
-  const int max_iterations = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(options.max_distortion *
-                                   static_cast<double>(d)));
+    // The Jacobian spans the model's logits; a caller-provided class
+    // count (e.g. the dataset's) must agree with what the model emits —
+    // a silent mismatch would read garbage rows or truncate the
+    // "other-class mass" term of the saliency map.
+    Tensor logits = model.forward(adv, eval);
+    const std::int64_t logit_width = logits.dim(logits.shape().rank() - 1);
+    const std::int64_t classes =
+        options.classes > 0 ? options.classes : logit_width;
+    DLB_CHECK(classes == logit_width,
+              "JsmaOptions.classes=" << classes << " but the model emits "
+                                     << logit_width << " logits");
+    DLB_CHECK(target >= 0 && target < classes,
+              "JSMA target " << target << " out of range [0, " << classes
+                             << ")");
+    outcome.source_class = tensor::argmax_row(logits, 0);
+    outcome.final_class = outcome.source_class;
+    // Already the target class: trivially successful, zero distortion.
+    outcome.success = outcome.source_class == target;
 
-  // The Jacobian spans the model's logits; a caller-provided class
-  // count (e.g. the dataset's) must agree with what the model emits —
-  // a silent mismatch would read garbage rows or truncate the
-  // "other-class mass" term of the saliency map.
-  Tensor logits = model.forward(adv, eval);
-  const std::int64_t logit_width = logits.dim(logits.shape().rank() - 1);
-  const std::int64_t classes =
-      options.classes > 0 ? options.classes : logit_width;
-  DLB_CHECK(classes == logit_width,
-            "JsmaOptions.classes=" << classes << " but the model emits "
-                                   << logit_width << " logits");
-  DLB_CHECK(target >= 0 && target < classes,
-            "JSMA target " << target << " out of range [0, " << classes
-                           << ")");
-  outcome.source_class = tensor::argmax_row(logits, 0);
-  outcome.final_class = outcome.source_class;
-  if (outcome.source_class == target) {
-    // Already the target class; trivially successful, zero distortion.
-    outcome.success = true;
-    outcome.final_class = target;
-    outcome.adversarial_example = adv;
-    outcome.craft_time_s = clock.seconds();
-    return outcome;
-  }
+    for (int it = 0; it < max_iterations && !outcome.success; ++it) {
+      // The model's cache holds the forward of `adv` as it stands: the
+      // classification above, or the previous iteration's check below.
+      Tensor jac = cached_jacobian(model, classes, eval);
+      const float* J = jac.raw();
+      float* px = adv.raw();
 
-  for (int it = 0; it < max_iterations; ++it) {
-    // The model's cache holds the forward of `adv` as it stands: the
-    // classification above, or the previous iteration's check below.
-    Tensor jac = cached_jacobian(model, classes, eval);
-    const float* J = jac.raw();
-    float* px = adv.raw();
+      // Saliency map, Equation (2): reject features whose target
+      // derivative is negative or whose other-class mass increases;
+      // score the rest by dF_t/dx_i * |sum_{j != t} dF_j/dx_i|.
+      std::int64_t best = -1;
+      float best_score = 0.f;
+      for (std::int64_t i = 0; i < d; ++i) {
+        if (px[i] >= 1.f) continue;  // saturated, cannot increase
+        const float alpha = J[target * d + i];
+        float others = 0.f;
+        for (std::int64_t j = 0; j < classes; ++j)
+          if (j != target) others += J[j * d + i];
+        if (alpha < 0.f || others > 0.f) continue;
+        const float score = alpha * std::fabs(others);
+        if (score > best_score) {
+          best_score = score;
+          best = i;
+        }
+      }
+      if (best < 0) break;  // saliency map exhausted
 
-    // Saliency map, Equation (2): reject features whose target
-    // derivative is negative or whose other-class mass increases;
-    // score the rest by dF_t/dx_i * |sum_{j != t} dF_j/dx_i|.
-    std::int64_t best = -1;
-    float best_score = 0.f;
-    for (std::int64_t i = 0; i < d; ++i) {
-      if (px[i] >= 1.f) continue;  // saturated, cannot increase
-      const float alpha = J[target * d + i];
-      float others = 0.f;
-      for (std::int64_t j = 0; j < classes; ++j)
-        if (j != target) others += J[j * d + i];
-      if (alpha < 0.f || others > 0.f) continue;
-      const float score = alpha * std::fabs(others);
-      if (score > best_score) {
-        best_score = score;
-        best = i;
+      px[best] = std::min(1.f, px[best] + options.theta);
+      outcome.iterations = it + 1;
+
+      const std::int64_t pred =
+          tensor::argmax_row(model.forward(adv, eval), 0);
+      outcome.final_class = pred;
+      if (pred == target) {
+        outcome.success = true;
+        break;
       }
     }
-    if (best < 0) break;  // saliency map exhausted
-
-    px[best] = std::min(1.f, px[best] + options.theta);
-    outcome.iterations = it + 1;
-
-    const std::int64_t pred =
-        tensor::argmax_row(model.forward(adv, eval), 0);
-    outcome.final_class = pred;
-    if (pred == target) {
-      outcome.success = true;
-      break;
-    }
   }
-  outcome.craft_time_s = clock.seconds();
   outcome.distortion_l0 = l0_distortion(x, adv);
   outcome.adversarial_example = adv;
   return outcome;
@@ -198,24 +196,26 @@ UntargetedSweep fgsm_sweep(const Sequential& model, const data::Dataset& data,
   // in the paper (success rate measures crafting, not model error).
   // A frozen view keeps the caller's model untouched and is
   // bitwise-identical to eval-mode forward.
-  runtime::Stopwatch screen_clock;
-  const nn::FrozenModel frozen = nn::FrozenModel::freeze(model);
   struct Unit {
     std::int64_t sample;
     std::int64_t label;
   };
   std::vector<Unit> units;
-  for (std::int64_t i = 0; i < data.size(); ++i) {
-    const std::int64_t label = data.labels[static_cast<std::size_t>(i)];
-    const auto cls = static_cast<std::size_t>(label);
-    if (sweep.attempts[cls] >= max_per_class) continue;
-    Tensor x = data.sample(i);
-    if (frozen.predict(x, ctx.device)[0] != label) continue;
-    ++sweep.attempts[cls];
-    units.push_back({i, label});
+  double screening_s = 0.0;
+  {
+    Span screening(nullptr, nullptr, &screening_s);
+    const nn::FrozenModel frozen = nn::FrozenModel::freeze(model);
+    for (std::int64_t i = 0; i < data.size(); ++i) {
+      const std::int64_t label = data.labels[static_cast<std::size_t>(i)];
+      const auto cls = static_cast<std::size_t>(label);
+      if (sweep.attempts[cls] >= max_per_class) continue;
+      Tensor x = data.sample(i);
+      if (frozen.predict(x, ctx.device)[0] != label) continue;
+      ++sweep.attempts[cls];
+      units.push_back({i, label});
+    }
   }
   sweep.total_attacks = static_cast<std::int64_t>(units.size());
-  const double screening_s = screen_clock.seconds();
 
   // Phase 2 — crafting, fanned across the engine. Each unit writes
   // only its own slot; tallies are reduced in unit-index order below,
@@ -270,18 +270,21 @@ TargetedSweep jsma_sweep(const Sequential& model, const data::Dataset& data,
 
   // Phase 1 — screening: collect correctly-classified source samples
   // once (frozen view; timed separately from crafting).
-  runtime::Stopwatch screen_clock;
-  const nn::FrozenModel frozen = nn::FrozenModel::freeze(model);
   std::vector<std::int64_t> sources;
-  for (std::int64_t i = 0; i < data.size() &&
-                           static_cast<std::int64_t>(sources.size()) <
-                               samples_per_target;
-       ++i) {
-    if (data.labels[static_cast<std::size_t>(i)] != source_class) continue;
-    Tensor x = data.sample(i);
-    if (frozen.predict(x, ctx.device)[0] == source_class) sources.push_back(i);
+  double screening_s = 0.0;
+  {
+    Span screening(nullptr, nullptr, &screening_s);
+    const nn::FrozenModel frozen = nn::FrozenModel::freeze(model);
+    for (std::int64_t i = 0; i < data.size() &&
+                             static_cast<std::int64_t>(sources.size()) <
+                                 samples_per_target;
+         ++i) {
+      if (data.labels[static_cast<std::size_t>(i)] != source_class) continue;
+      Tensor x = data.sample(i);
+      if (frozen.predict(x, ctx.device)[0] == source_class)
+        sources.push_back(i);
+    }
   }
-  const double screening_s = screen_clock.seconds();
 
   // Phase 2 — crafting. Unit order preserves the serial sweep's
   // enumeration: targets ascending, sources inside each target.

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "runtime/device.hpp"
-#include "runtime/stopwatch.hpp"
 #include "runtime/trace.hpp"
 #include "util/error.hpp"
 
@@ -50,7 +49,6 @@ CraftTiming craft_units(
   unit_ctx.device = runtime::Device::cpu();
   unit_ctx.training = false;
 
-  runtime::Stopwatch clock;
   std::vector<runtime::LatencyHistogram> histograms(
       static_cast<std::size_t>(n_workers));
   // Replicas are cloned here, on the calling thread, before dispatch,
@@ -61,24 +59,25 @@ CraftTiming craft_units(
   std::vector<nn::Sequential> replicas;
   replicas.reserve(static_cast<std::size_t>(n_workers));
   {
-    Span span("attack/replicate", "attack");
-    for (std::int64_t w = 0; w < n_workers; ++w)
-      replicas.push_back(model.clone());
+    Span wall(nullptr, nullptr, &timing.craft_wall_s);
+    {
+      Span span("attack/replicate", "attack");
+      for (std::int64_t w = 0; w < n_workers; ++w)
+        replicas.push_back(model.clone());
+    }
+
+    // Worker w is one index of the fan-out. A single worker runs inline
+    // on the calling thread (Device::parallel_for's inline threshold).
+    runtime::Device::gpu().parallel_for(
+        static_cast<std::size_t>(n_workers),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t w = lo; w < hi; ++w)
+            run_worker(replicas[w], unit_ctx, unit_count,
+                       static_cast<std::int64_t>(w), n_workers, attack,
+                       histograms[w]);
+        },
+        1);
   }
-
-  // Worker w is one index of the fan-out. A single worker runs inline
-  // on the calling thread (Device::parallel_for's inline threshold).
-  runtime::Device::gpu().parallel_for(
-      static_cast<std::size_t>(n_workers),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t w = lo; w < hi; ++w)
-          run_worker(replicas[w], unit_ctx, unit_count,
-                     static_cast<std::int64_t>(w), n_workers, attack,
-                     histograms[w]);
-      },
-      1);
-
-  timing.craft_wall_s = clock.seconds();
   // Worker-index order; exact bucket-wise sums make the result
   // order-independent anyway.
   for (const auto& h : histograms) timing.craft_time.merge(h);

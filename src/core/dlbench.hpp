@@ -32,7 +32,7 @@
 #include "optim/optimizer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scale.hpp"
-#include "runtime/stopwatch.hpp"
+#include "runtime/clock.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/format.hpp"

@@ -17,8 +17,7 @@ namespace dlbench::frameworks {
 
 namespace comm = runtime::comm;
 
-using detail::secs_between;
-using detail::SteadyClock;
+using runtime::trace::Span;
 using util::env_i64;
 
 namespace {
@@ -127,7 +126,7 @@ class ShardedGradients final : public detail::GradientSource {
     // Shard losses are means over shard rows, so shard s carries
     // weight rows_s / B; the weighted sum in fixed shard order is
     // what a single B-row step's loss head would have produced.
-    const auto t_comm = SteadyClock::now();
+    Span reduce(nullptr, nullptr, &phases.comm_s);
     std::vector<const float*> parts;
     std::vector<double> weights;
     double loss_acc = 0.0;
@@ -146,20 +145,18 @@ class ShardedGradients final : public detail::GradientSource {
           std::span<const double>(weights), master_grads_[p]->raw(),
           static_cast<std::size_t>(master_grads_[p]->numel()), device_);
     }
-    phases.comm_s += secs_between(t_comm, SteadyClock::now());
     runtime::trace::counter_add("dp.reduces", 1);
     return loss_acc;
   }
 
   // Replicas follow the master after every optimizer step and rollback.
   void params_changed(PhaseBreakdown& phases) override {
-    const auto t_bc = SteadyClock::now();
+    Span broadcast(nullptr, nullptr, &phases.comm_s);
     for (std::size_t p = 0; p < master_params_.size(); ++p)
       comm::broadcast(master_params_[p]->raw(),
                       std::span<float* const>(replica_param_ptrs_[p]),
                       static_cast<std::size_t>(master_params_[p]->numel()),
                       device_);
-    phases.comm_s += secs_between(t_bc, SteadyClock::now());
   }
 
   void add_plan_stats(TrainResult& result) const override {
@@ -173,7 +170,7 @@ class ShardedGradients final : public detail::GradientSource {
   // Copies each shard's rows out of the batch (master thread,
   // attributed to the data phase).
   void slice(const data::Batch& batch, PhaseBreakdown& phases) {
-    const auto t0 = SteadyClock::now();
+    Span slice(nullptr, nullptr, &phases.data_s);
     const std::int64_t B = batch.size();
     const std::int64_t row_floats =
         batch.images.numel() / std::max<std::int64_t>(1, B);
@@ -196,7 +193,6 @@ class ShardedGradients final : public detail::GradientSource {
               static_cast<std::ptrdiff_t>(offset + sh.rows));
       offset += sh.rows;
     }
-    phases.data_s += secs_between(t0, SteadyClock::now());
   }
 
   // K workers drain the shard queue. Dynamic assignment: whichever
@@ -206,15 +202,17 @@ class ShardedGradients final : public detail::GradientSource {
   // straggler's backlog.
   void fan_out(std::int64_t step, PhaseBreakdown& phases) {
     std::atomic<int> next_shard{0};
-    const auto t_par = SteadyClock::now();
-    workers_device_.parallel_for(
-        static_cast<std::size_t>(K_),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t w = lo; w < hi; ++w)
-            drain_shards(step, static_cast<int>(w), next_shard);
-        },
-        1);
-    const double par_s = secs_between(t_par, SteadyClock::now());
+    double par_s = 0.0;
+    {
+      Span fan_out(nullptr, nullptr, &par_s);
+      workers_device_.parallel_for(
+          static_cast<std::size_t>(K_),
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t w = lo; w < hi; ++w)
+              drain_shards(step, static_cast<int>(w), next_shard);
+          },
+          1);
+    }
     // The parallel region is one wall-clock interval; split it into
     // forward/backward by the workers' own ratio so the breakdown
     // still sums to wall time.
@@ -252,12 +250,15 @@ class ShardedGradients final : public detail::GradientSource {
       // the slots are persistent).
       auto plan_guard = planner.step(sh.rows);
       replica.zero_grads();
-      const auto t_fwd = SteadyClock::now();
-      nn::LossResult loss = replica.forward_loss(sh.images, sh.labels, ctx);
-      const auto t_bwd = SteadyClock::now();
-      fwd_s += secs_between(t_fwd, t_bwd);
-      replica.backward(loss, sh.labels, ctx);
-      bwd_s += secs_between(t_bwd, SteadyClock::now());
+      nn::LossResult loss;
+      {
+        Span forward(nullptr, nullptr, &fwd_s);
+        loss = replica.forward_loss(sh.images, sh.labels, ctx);
+      }
+      {
+        Span backward(nullptr, nullptr, &bwd_s);
+        replica.backward(loss, sh.labels, ctx);
+      }
       sh.loss = loss.loss;
       const auto replica_grads = replica.grads();
       for (std::size_t p = 0; p < sh.grads.size(); ++p) {

@@ -2,15 +2,13 @@
 
 #include "frameworks/train_loop.hpp"
 #include "nn/plan.hpp"
-#include "runtime/stopwatch.hpp"
 #include "runtime/trace.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::frameworks {
 
-using detail::secs_between;
-using detail::SteadyClock;
+using runtime::trace::Span;
 using util::env_f64;
 using util::env_i64;
 
@@ -59,12 +57,13 @@ class LocalGradients final : public detail::GradientSource {
   double gradients(const data::Batch& batch, std::int64_t,
                    PhaseBreakdown& phases) override {
     model_.zero_grads();
-    const auto t_fwd = SteadyClock::now();
-    nn::LossResult loss = model_.forward_loss(batch.images, batch.labels, ctx_);
-    const auto t_bwd = SteadyClock::now();
-    phases.forward_s += secs_between(t_fwd, t_bwd);
+    nn::LossResult loss;
+    {
+      Span forward(nullptr, nullptr, &phases.forward_s);
+      loss = model_.forward_loss(batch.images, batch.labels, ctx_);
+    }
+    Span backward(nullptr, nullptr, &phases.backward_s);
     model_.backward(loss, batch.labels, ctx_);
-    phases.backward_s += secs_between(t_bwd, SteadyClock::now());
     return loss.loss;
   }
 
@@ -106,21 +105,22 @@ EvalResult Framework::evaluate(nn::Sequential& model,
                           unused);
 
   EvalResult result;
-  runtime::Stopwatch clock;
-  // Plans the full-size eval batch and (separately) the tail batch;
-  // prediction outputs are plain vectors, so everything tensor-shaped
-  // inside a batch extent dies with it.
-  nn::StepPlanner planner;
-  data::Batch batch;
-  while (loader.next(batch)) {
-    runtime::trace::Span span("eval.batch", "eval");
-    auto plan_guard = planner.step(batch.size());
-    const auto predictions = model.predict(batch.images, ctx);
-    for (std::size_t i = 0; i < predictions.size(); ++i)
-      if (predictions[i] == batch.labels[i]) ++result.correct;
-    result.total += batch.size();
+  {
+    Span test_time(nullptr, nullptr, &result.test_time_s);
+    // Plans the full-size eval batch and (separately) the tail batch;
+    // prediction outputs are plain vectors, so everything tensor-shaped
+    // inside a batch extent dies with it.
+    nn::StepPlanner planner;
+    data::Batch batch;
+    while (loader.next(batch)) {
+      Span span("eval.batch", "eval");
+      auto plan_guard = planner.step(batch.size());
+      const auto predictions = model.predict(batch.images, ctx);
+      for (std::size_t i = 0; i < predictions.size(); ++i)
+        if (predictions[i] == batch.labels[i]) ++result.correct;
+      result.total += batch.size();
+    }
   }
-  result.test_time_s = clock.seconds();
   // total can be 0 under an injected 100% sample-drop fault; report 0%
   // rather than a NaN that would poison downstream tables.
   result.accuracy_pct = result.total > 0

@@ -6,11 +6,12 @@
 #include <vector>
 
 #include "runtime/fault.hpp"
-#include "runtime/stopwatch.hpp"
 #include "runtime/trace.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::frameworks::detail {
+
+using runtime::trace::Span;
 
 namespace {
 
@@ -87,7 +88,7 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
                           loader_rng);
 
   TrainResult result;
-  runtime::Stopwatch clock;
+  const std::int64_t start_ns = runtime::now_ns();
 
   const GuardOptions& guard = options.guard;
   // Watchdog: bounds the run's wall clock so a stalled cell aborts
@@ -108,11 +109,8 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
 
   // Timed batch fetch, attributed to the data phase.
   auto next_batch = [&](data::Batch& b) {
-    runtime::trace::Span span("data.next_batch", "data");
-    const auto t0 = SteadyClock::now();
-    const bool ok = loader.next(b);
-    result.phases.data_s += secs_between(t0, SteadyClock::now());
-    return ok;
+    Span span("data.next_batch", "data", &result.phases.data_s);
+    return loader.next(b);
   };
 
   std::int64_t step = 0;
@@ -129,7 +127,7 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
         break;
       }
       runtime::fault::maybe_stall_step(step);
-      runtime::trace::Span step_span("train.step", "train");
+      Span step_span("train.step", "train");
       {
         // Plan extent: gradients through the optimizer update. The
         // periodic snapshot below stays OUTSIDE it — its clones must
@@ -140,56 +138,56 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
         auto extent = source.open_extent(batch.size());
 
         const double loss = source.gradients(batch, step, result.phases);
-        const auto t_guard = SteadyClock::now();
 
-        // Faults hit the gradients the optimizer would apply.
-        if (runtime::fault::enabled()) {
-          std::vector<std::span<float>> grad_spans;
-          for (tensor::Tensor* g : model.grads())
-            grad_spans.push_back(g->data());
-          runtime::fault::maybe_corrupt_gradients(step, grad_spans);
-        }
-
-        // Divergence is detected *before* the update is applied, so one
-        // bad step cannot poison the parameters it would write to.
-        const bool divergent =
-            !std::isfinite(loss) ||
-            gradients_divergent(model.grads(), guard.grad_norm_limit);
-        if (divergent) {
-          if (result.divergence_step < 0) result.divergence_step = step;
-          if (!recovery_enabled ||
-              result.recovery_attempts >= guard.max_recoveries) {
-            result.diverged = true;
-            aborted = true;
-          } else {
-            // Bounded recovery: roll back to the snapshot, back off the
-            // learning rate, and retry from there with a fresh
-            // optimizer.
-            ++result.recovery_attempts;
-            runtime::trace::counter_add("train.rollbacks", 1);
-            restore_params(model, snapshot);
-            lr_scale *= guard.lr_backoff;
-            optimizer = framework.make_optimizer(
-                scale_learning_rate(config, lr_scale), steps_per_epoch,
-                total_steps);
-            while (!result.loss_curve.empty() &&
-                   result.loss_curve.back().first >= snapshot_step)
-              result.loss_curve.pop_back();
-            step = snapshot_step;
-            rolled_back = true;  // restart from a fresh epoch at snapshot
+        bool divergent = false;
+        {
+          Span guard_span(nullptr, nullptr, &result.phases.guard_s);
+          // Faults hit the gradients the optimizer would apply.
+          if (runtime::fault::enabled()) {
+            std::vector<std::span<float>> grad_spans;
+            for (tensor::Tensor* g : model.grads())
+              grad_spans.push_back(g->data());
+            runtime::fault::maybe_corrupt_gradients(step, grad_spans);
           }
-          result.phases.guard_s += secs_between(t_guard, SteadyClock::now());
+
+          // Divergence is detected *before* the update is applied, so
+          // one bad step cannot poison the parameters it would write to.
+          divergent = !std::isfinite(loss) ||
+                      gradients_divergent(model.grads(), guard.grad_norm_limit);
+          if (divergent) {
+            if (result.divergence_step < 0) result.divergence_step = step;
+            if (!recovery_enabled ||
+                result.recovery_attempts >= guard.max_recoveries) {
+              result.diverged = true;
+              aborted = true;
+            } else {
+              // Bounded recovery: roll back to the snapshot, back off
+              // the learning rate, and retry from there with a fresh
+              // optimizer.
+              ++result.recovery_attempts;
+              runtime::trace::counter_add("train.rollbacks", 1);
+              restore_params(model, snapshot);
+              lr_scale *= guard.lr_backoff;
+              optimizer = framework.make_optimizer(
+                  scale_learning_rate(config, lr_scale), steps_per_epoch,
+                  total_steps);
+              while (!result.loss_curve.empty() &&
+                     result.loss_curve.back().first >= snapshot_step)
+                result.loss_curve.pop_back();
+              step = snapshot_step;
+              rolled_back = true;  // restart from a fresh epoch at snapshot
+            }
+          }
+        }
+        if (divergent) {
           if (rolled_back) source.params_changed(result.phases);
           break;
         }
-        result.phases.guard_s += secs_between(t_guard, SteadyClock::now());
 
-        const auto t_opt = SteadyClock::now();
         {
-          runtime::trace::Span span("optim.step", "optim");
+          Span span("optim.step", "optim", &result.phases.optimizer_s);
           optimizer->step(model.params(), model.grads(), step, device);
         }
-        result.phases.optimizer_s += secs_between(t_opt, SteadyClock::now());
         source.params_changed(result.phases);
         runtime::trace::counter_add("optim.steps", 1);
 
@@ -203,11 +201,9 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
 
       if (recovery_enabled && guard.snapshot_interval > 0 &&
           step % guard.snapshot_interval == 0) {
-        runtime::trace::Span span("train.snapshot", "train");
-        const auto t_snap = SteadyClock::now();
+        Span span("train.snapshot", "train", &result.phases.guard_s);
         snapshot = clone_params(model);
         snapshot_step = step;
-        result.phases.guard_s += secs_between(t_snap, SteadyClock::now());
       }
     }
     // Data starvation (e.g. every sample of an epoch dropped by an
@@ -219,7 +215,7 @@ TrainResult guarded_train(const Framework& framework, nn::Sequential& model,
     }
   }
 
-  result.train_time_s = clock.seconds();
+  result.train_time_s = runtime::seconds_since(start_ns);
   source.add_plan_stats(result);
   result.steps = step;
   result.epochs_run = static_cast<double>(step) /

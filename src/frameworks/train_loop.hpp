@@ -11,7 +11,6 @@
 // rate backoff, the loss curve, the starvation exit, phase accounting
 // and the converged verdict — lives in guarded_train alone.
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 
@@ -19,13 +18,6 @@
 #include "nn/plan.hpp"
 
 namespace dlbench::frameworks::detail {
-
-using SteadyClock = std::chrono::steady_clock;
-
-inline double secs_between(SteadyClock::time_point a,
-                           SteadyClock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 /// Produces one step's gradients into the model the loop trains.
 class GradientSource {

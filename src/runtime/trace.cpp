@@ -73,7 +73,6 @@ std::string TraceReport::summary_table() const {
 #ifndef DLB_TRACE_DISABLED
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -85,12 +84,6 @@ std::string TraceReport::summary_table() const {
 namespace dlbench::runtime::trace {
 
 namespace {
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t next_gen() {
   static std::atomic<std::uint64_t> counter{1};
@@ -147,8 +140,6 @@ namespace detail {
 // Active scope, one inlined load on the disabled fast path (see
 // header). The owning TraceScope outlives every event it can record.
 std::atomic<void*> g_active{nullptr};
-
-std::int64_t clock_now_ns() { return now_ns(); }
 
 }  // namespace detail
 
@@ -209,19 +200,6 @@ const char* intern(const std::string& name) {
   static std::unordered_set<std::string> pool;
   std::lock_guard<std::mutex> lock(mu);
   return pool.insert(name).first->c_str();
-}
-
-void Span::record() {
-  State* s = active_state();
-  if (!s || s->epoch_ns > start_ns_) return;  // scope changed mid-span
-  ThreadBuffer* buf = buffer_for(s);
-  if (static_cast<std::int64_t>(buf->spans.size()) >=
-      s->options.max_events_per_thread) {
-    ++buf->dropped;
-    return;
-  }
-  buf->spans.push_back(
-      SpanEvent{name_, category_, start_ns_, now_ns() - start_ns_});
 }
 
 void detail::record_span_slow(const char* name, const char* category,

@@ -14,7 +14,9 @@
 // active) installs shared state behind a single atomic pointer, and
 // every instrumentation point costs one relaxed atomic load when no
 // scope is active. Building with -DDLBENCH_TRACE=OFF (which defines
-// DLB_TRACE_DISABLED) compiles the instrumentation out entirely.
+// DLB_TRACE_DISABLED) compiles the instrumentation out; a Span given
+// an accumulator still times into it, because the training phase
+// breakdown and the crafting times are measured in every build.
 //
 // Threading contract, same as FaultScope: events may be recorded from
 // pool workers, but the scope owner must not destroy the scope (or call
@@ -27,6 +29,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "runtime/clock.hpp"
 
 namespace dlbench::runtime::trace {
 
@@ -120,8 +124,6 @@ namespace detail {
 /// instrumented kernels sit inside GEMM inner functions where even an
 /// out-of-line call per invocation shows up in the disarmed build.
 extern std::atomic<void*> g_active;
-
-std::int64_t clock_now_ns();
 }  // namespace detail
 
 /// True when a TraceScope is active (one atomic load, inlined).
@@ -134,31 +136,6 @@ inline bool enabled() {
 /// dynamic names must outlive the scope; interning guarantees that).
 const char* intern(const std::string& name);
 
-/// RAII scoped span: records [construction, destruction) under `name`.
-/// `name` and `category` must be string literals or interned strings.
-/// A null `name` or inactive tracing makes the span a no-op.
-class Span {
- public:
-  Span(const char* name, const char* category)
-      : name_(name), category_(category), start_ns_(-1) {
-    // Disarmed fast path: one inlined atomic load, no call.
-    if (name != nullptr && enabled()) start_ns_ = detail::clock_now_ns();
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() {
-    if (start_ns_ >= 0) record();
-  }
-
- private:
-  /// Slow path: appends the finished event to the thread's buffer.
-  void record();
-
-  const char* name_;
-  const char* category_;
-  std::int64_t start_ns_;  // < 0 when inactive
-};
-
 namespace detail {
 void counter_add_slow(const char* name, std::int64_t delta);
 void gauge_record_slow(const char* name, std::int64_t value);
@@ -166,16 +143,12 @@ void record_span_slow(const char* name, const char* category,
                       std::int64_t start_ns, std::int64_t end_ns);
 }  // namespace detail
 
-/// Current value of the trace clock, for record_span(). Valid whether
-/// or not a scope is active.
-inline std::int64_t clock_ns() { return detail::clock_now_ns(); }
-
-/// Records a completed span with explicit endpoints (clock_ns() values).
+/// Records a completed span with explicit endpoints (now_ns() values).
 /// This is how cross-thread waits are traced: the serving layer stamps
 /// a request at enqueue on the client thread and emits the
 /// "serve.enqueue_wait" span from the worker that dequeued it — an RAII
 /// Span cannot straddle threads. Spans starting before the active
-/// scope did are dropped, matching Span::record().
+/// scope did are dropped.
 inline void record_span(const char* name, const char* category,
                         std::int64_t start_ns, std::int64_t end_ns) {
   if (enabled()) detail::record_span_slow(name, category, start_ns, end_ns);
@@ -207,21 +180,45 @@ class TraceScope {
 
 inline bool enabled() { return false; }
 inline const char* intern(const std::string&) { return ""; }
-inline std::int64_t clock_ns() { return 0; }
 inline void record_span(const char*, const char*, std::int64_t,
                         std::int64_t) {}
-
-class Span {
- public:
-  Span(const char*, const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
 
 inline void counter_add(const char*, std::int64_t) {}
 inline void gauge_record(const char*, std::int64_t) {}
 
 #endif  // DLB_TRACE_DISABLED
+
+/// RAII timed interval [construction, destruction): the one way an
+/// interval is measured. With `add_s` set the elapsed seconds are
+/// always added to `*add_s` (a PhaseBreakdown field, a craft time),
+/// in every build; when a scope is active the same two clock reads are
+/// also recorded as a span under `name`. A null `name` times without
+/// tracing. `name` and `category` must be string literals or interned
+/// strings. A span with neither an active scope nor `add_s` is one
+/// atomic load and no clock read (nothing with tracing compiled out).
+class Span {
+ public:
+  Span(const char* name, const char* category, double* add_s = nullptr)
+      : name_(name), category_(category), add_s_(add_s) {
+    // Inlined fast path: one atomic load when untimed and disarmed.
+    if (add_s != nullptr || (name != nullptr && enabled()))
+      start_ns_ = now_ns();
+  }
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  ~Span() {
+    if (start_ns_ < 0) return;
+    const std::int64_t end_ns = now_ns();
+    if (add_s_ != nullptr) *add_s_ += seconds_between(start_ns_, end_ns);
+    if (name_ != nullptr) record_span(name_, category_, start_ns_, end_ns);
+  }
+
+ private:
+  const char* name_;
+  const char* category_;
+  double* add_s_;
+  std::int64_t start_ns_ = -1;  // < 0 when neither timed nor traced
+};
 
 // Span names used by the instrumented hot paths, collected here so
 // tooling and tests agree on the taxonomy:
@@ -234,8 +231,12 @@ inline void gauge_record(const char*, std::int64_t) {}
 //   io      checkpoint.save, checkpoint.load
 //   serve   serve.enqueue_wait, serve.assemble, serve.forward,
 //           serve.scatter
-// Counters: tensor.allocs, tensor.bytes, pool.tasks, optim.steps,
-// train.rollbacks, serve.requests, serve.rejected, serve.batches.
-// Gauges: pool.queue_depth, serve.queue_depth.
+// Counters: tensor.allocs, tensor.bytes, tensor.arena_*, plan.*,
+// pool.tasks, optim.steps, train.rollbacks, checkpoint.fallbacks,
+// hist.dropped_nonfinite, dp.reduces, attack.units, fleet.*, and one
+// serve.* counter per ServerStats event field, all named in the one
+// table that bumps both (kEvents in serve/server.cpp).
+// Gauges: pool.queue_depth, serve.queue_depth, fleet.queued,
+// fleet.replicas.
 
 }  // namespace dlbench::runtime::trace

@@ -6,24 +6,16 @@
 #include <sstream>
 #include <utility>
 
+#include "runtime/clock.hpp"
 #include "runtime/trace.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::serve {
 
+using runtime::now_ns;
+using runtime::seconds_between;
+
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
-double seconds_between(std::int64_t a_ns, std::int64_t b_ns) {
-  return static_cast<double>(b_ns - a_ns) * 1e-9;
-}
 
 Prediction immediate(RequestStatus status) {
   Prediction p;
@@ -568,12 +560,13 @@ FleetLoadResult run_fleet_trace(
   std::vector<std::future<Prediction>> futures;
   futures.reserve(trace.size());
   std::vector<std::int64_t> arrival_count(streams.size(), 0);
-  const auto start = Clock::now();
+  const std::int64_t start_ns = now_ns();
+  const auto start = std::chrono::steady_clock::now();
   for (const auto& arrival : trace) {
     const auto s = static_cast<std::size_t>(arrival.stream);
     if (options.realtime) {
       std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<Clock::duration>(
+          start + std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::duration<double>(arrival.t_s)));
     }
     const auto& set = inputs[s];
@@ -582,8 +575,7 @@ FleetLoadResult run_fleet_trace(
   }
   fleet.drain();
   for (auto& future : futures) future.wait();
-  result.duration_s =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  result.duration_s = runtime::seconds_since(start_ns);
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "runtime/clock.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -14,11 +15,11 @@ namespace dlbench::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using runtime::now_ns;
+using runtime::seconds_since;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+// The open-loop schedule's time points, for sleep_until.
+using Clock = std::chrono::steady_clock;
 
 /// Per-thread tallies, merged after the run (no locking while driving).
 struct ClientTally {
@@ -105,16 +106,15 @@ ClientTally run_closed(ModelServer& server,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
   util::Rng seeder(options.seed);
-  const auto start = Clock::now();
-  const auto deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(options.duration_s));
+  const std::int64_t start = now_ns();
+  const std::int64_t deadline =
+      start + static_cast<std::int64_t>(options.duration_s * 1e9);
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c, rng = seeder.fork()]() mutable {
       ClientTally& tally = tallies[static_cast<std::size_t>(c)];
       SubmitOptions submit_options;
       submit_options.deadline_s = options.deadline_s;
-      while (Clock::now() < deadline) {
+      while (now_ns() < deadline) {
         const auto& input = inputs[rng.uniform_index(inputs.size())];
         submit_options.slo =
             options.low_priority_fraction > 0.0 &&
@@ -158,6 +158,7 @@ ClientTally run_open(ModelServer& server,
   // deterministic fault decisions, see LoadGenOptions).
   SubmitOptions submit_options;
   submit_options.deadline_s = options.deadline_s;
+  const std::int64_t start_ns = now_ns();
   const auto start = Clock::now();
   const auto deadline =
       start + std::chrono::duration_cast<Clock::duration>(
@@ -173,13 +174,14 @@ ClientTally run_open(ModelServer& server,
             ? SloClass::kBronze
             : SloClass::kSilver;
     ++tally.issued;
-    if (options.record_samples) issue_offsets.push_back(seconds_since(start));
+    if (options.record_samples)
+      issue_offsets.push_back(seconds_since(start_ns));
     futures.push_back(server.submit(input, submit_options));
     const double gap_s = poisson_gap_s(rng, options.offered_rps);
     next += std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(gap_s));
   }
-  tally.dispatch_s = seconds_since(start);
+  tally.dispatch_s = seconds_since(start_ns);
   for (std::size_t i = 0; i < futures.size(); ++i)
     tally.absorb(futures[i].get(),
                  options.record_samples ? issue_offsets[i] : 0.0,
@@ -260,7 +262,7 @@ LoadGenResult run_load(ModelServer& server,
   DLB_CHECK(!inputs.empty(), "run_load needs at least one input sample");
   DLB_CHECK(options.duration_s > 0.0, "run_load needs duration_s > 0");
 
-  const auto start = Clock::now();
+  const std::int64_t start = now_ns();
   const ClientTally tally = options.mode == LoadGenOptions::Mode::kOpenLoop
                                 ? run_open(server, inputs, options)
                                 : run_closed(server, inputs, options);

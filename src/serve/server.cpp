@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "runtime/clock.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/trace.hpp"
 #include "tensor/ops.hpp"
@@ -16,6 +17,9 @@ namespace dlbench::serve {
 
 namespace trace = runtime::trace;
 namespace fault = runtime::fault;
+
+using runtime::now_ns;
+using runtime::seconds_between;
 
 const char* to_string(RequestStatus status) {
   switch (status) {
@@ -57,18 +61,38 @@ void StageLatencies::merge(const StageLatencies& other) {
 
 namespace {
 
-// Monotonic nanoseconds on the same clock the trace subsystem stamps
-// spans with, so enqueue timestamps taken on client threads line up
-// with worker-side span endpoints. With tracing compiled out
-// trace::clock_ns() returns 0, so fall back to steady_clock.
-std::int64_t now_ns() {
-  if constexpr (trace::compiled()) {
-    return trace::clock_ns();
-  } else {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+// The one name table for serve events, in ModelServer::Event order:
+// the trace counter each event bumps and the ServerStats field it
+// lands in.
+struct EventName {
+  const char* trace;
+  std::int64_t ServerStats::*field;
+};
+constexpr EventName kEvents[] = {
+    {"serve.requests", &ServerStats::submitted},
+    {"serve.rejected", &ServerStats::rejected},
+    {"serve.batches", &ServerStats::batches},
+    {"serve.expired", &ServerStats::expired},
+    {"serve.errors", &ServerStats::errors},
+    {"serve.shed", &ServerStats::shed_breaker},
+    {"serve.retries", &ServerStats::retries},
+    {"serve.hedges", &ServerStats::hedges},
+    {"serve.hedge_wins", &ServerStats::hedge_wins},
+    {"serve.corrupted", &ServerStats::corrupted},
+    {"serve.crashes", &ServerStats::crashes},
+    {"serve.restarts", &ServerStats::restarts},
+    {"serve.stalls_replaced", &ServerStats::stalls_replaced},
+    {"serve.crash_requeues", &ServerStats::crash_requeues},
+    {"serve.breaker_opens", &ServerStats::breaker_opens},
+    {"serve.breaker_closes", &ServerStats::breaker_closes},
+};
+
+// One serve stage: its histogram and its trace span read the same two
+// clock stamps.
+void record_stage(const char* name, runtime::LatencyHistogram& histogram,
+                  std::int64_t start_ns, std::int64_t end_ns) {
+  histogram.record_ns(end_ns - start_ns);
+  trace::record_span(name, "serve", start_ns, end_ns);
 }
 
 Prediction make_failure(RequestStatus status) {
@@ -150,16 +174,23 @@ ModelServer::~ModelServer() {
     if (replica->thread.joinable()) replica->thread.join();
 }
 
+void ModelServer::count(Event event, std::int64_t n) {
+  static_assert(std::size(kEvents) == kEventCount);
+  const auto e = static_cast<std::size_t>(event);
+  events_[e].fetch_add(n, std::memory_order_relaxed);
+  trace::counter_add(kEvents[e].trace, n);
+}
+
 std::future<Prediction> ModelServer::submit(tensor::Tensor input,
                                             SubmitOptions submit_options) {
   DLB_CHECK(input.shape() == options_.sample_shape,
             "request shape " + input.shape().to_string() +
                 " != sample_shape " + options_.sample_shape.to_string());
+  count(Event::kSubmitted);
   std::promise<Prediction> promise;
   std::future<Prediction> future = promise.get_future();
 
   std::unique_lock<std::mutex> lock(mu_);
-  ++submitted_;
   if (stopping_) {
     ++rejected_shutdown_;
     lock.unlock();
@@ -169,26 +200,22 @@ std::future<Prediction> ModelServer::submit(tensor::Tensor input,
   if (all_dead_) {
     // Unsupervised fleet with every replica crashed: nobody will ever
     // serve this, so fail fast instead of queueing forever.
-    errors_.fetch_add(1, std::memory_order_relaxed);
     lock.unlock();
+    count(Event::kErrors);
     promise.set_value(make_failure(RequestStatus::kError));
     return future;
   }
   const std::int64_t enqueue_ns = now_ns();
   maybe_close_breaker_locked(enqueue_ns);
   if (breaker_open_ && submit_options.slo == SloClass::kBronze) {
-    shed_breaker_.fetch_add(1, std::memory_order_relaxed);
     lock.unlock();
-    trace::counter_add("serve.requests", 1);
-    trace::counter_add("serve.shed", 1);
+    count(Event::kShedBreaker);
     promise.set_value(make_failure(RequestStatus::kShed));
     return future;
   }
   if (queue_.size() >= options_.reject_watermark) {
-    ++rejected_;
     lock.unlock();
-    trace::counter_add("serve.requests", 1);
-    trace::counter_add("serve.rejected", 1);
+    count(Event::kRejected);
     promise.set_value(make_failure(RequestStatus::kRejected));
     return future;
   }
@@ -213,7 +240,6 @@ std::future<Prediction> ModelServer::submit(tensor::Tensor input,
   const auto depth = static_cast<std::int64_t>(queue_.size());
   max_queue_depth_ = std::max(max_queue_depth_, depth);
   lock.unlock();
-  trace::counter_add("serve.requests", 1);
   trace::gauge_record("serve.queue_depth", depth);
   cv_.notify_one();
   return future;
@@ -261,8 +287,7 @@ void ModelServer::record_outcome_locked(bool success) {
     breaker_open_ = true;
     breaker_open_until_ns_ =
         now_ns() + static_cast<std::int64_t>(options_.breaker_probe_s * 1e9);
-    breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-    trace::counter_add("serve.breaker_opens", 1);
+    count(Event::kBreakerOpens);
   }
 }
 
@@ -273,8 +298,7 @@ void ModelServer::maybe_close_breaker_locked(std::int64_t now) {
   breaker_open_ = false;
   outcome_window_.clear();
   window_failures_ = 0;
-  breaker_closes_.fetch_add(1, std::memory_order_relaxed);
-  trace::counter_add("serve.breaker_closes", 1);
+  count(Event::kBreakerCloses);
 }
 
 std::int64_t ModelServer::flush_ready_retries_locked(std::int64_t now) {
@@ -387,33 +411,19 @@ ServerStats ModelServer::stats() const {
   ServerStats stats;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats.submitted = submitted_;
     stats.accepted = accepted_;
-    stats.rejected = rejected_;
     stats.rejected_shutdown = rejected_shutdown_;
     stats.max_queue_depth = max_queue_depth_;
     stats.breaker_open = breaker_open_;
     stats.live_replicas = live_replicas_;
   }
-  stats.expired = expired_.load(std::memory_order_relaxed);
-  stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.shed_breaker = shed_breaker_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.hedges = hedges_.load(std::memory_order_relaxed);
-  stats.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  stats.corrupted = corrupted_.load(std::memory_order_relaxed);
-  stats.crashes = crashes_.load(std::memory_order_relaxed);
-  stats.restarts = restarts_.load(std::memory_order_relaxed);
-  stats.stalls_replaced = stalls_replaced_.load(std::memory_order_relaxed);
-  stats.crash_requeues = crash_requeues_.load(std::memory_order_relaxed);
-  stats.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-  stats.breaker_closes = breaker_closes_.load(std::memory_order_relaxed);
+  for (std::size_t e = 0; e < kEventCount; ++e)
+    stats.*kEvents[e].field = events_[e].load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> fleet_lock(fleet_mu_);
   for (const auto* group : {&replicas_, &retired_}) {
     for (const auto& replica : *group) {
       std::lock_guard<std::mutex> lock(replica->mu);
       stats.completed += replica->completed;
-      stats.batches += replica->batches;
       stats.busy_s += replica->busy_s;
       stats.latency.merge(replica->lat);
     }
@@ -463,8 +473,7 @@ void ModelServer::supervisor_tick() {
           // attempt index (same fault decisions — determinism), first
           // claim wins.
           queue_.push_front(Dispatch{it->req, it->attempt, true});
-          hedges_.fetch_add(1, std::memory_order_relaxed);
-          trace::counter_add("serve.hedges", 1);
+          count(Event::kHedges);
           wake_workers = true;
         }
         ++it;
@@ -495,8 +504,7 @@ void ModelServer::supervisor_tick() {
         retired_.push_back(std::move(slot));
         slot = std::move(fresh);
         started.push_back(slot.get());
-        restarts_.fetch_add(1, std::memory_order_relaxed);
-        trace::counter_add("serve.restarts", 1);
+        count(Event::kRestarts);
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++live_replicas_;
@@ -516,8 +524,7 @@ void ModelServer::supervisor_tick() {
         retired_.push_back(std::move(slot));
         slot = std::move(fresh);
         started.push_back(slot.get());
-        stalls_replaced_.fetch_add(1, std::memory_order_relaxed);
-        trace::counter_add("serve.stalls_replaced", 1);
+        count(Event::kStallsReplaced);
       }
     }
   }
@@ -530,8 +537,7 @@ void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {
   // Counter first (counter-before-resolve): the all-dead drain below
   // resolves client futures, and a client that just observed one may
   // immediately read stats() — it must find this crash counted.
-  crashes_.fetch_add(1, std::memory_order_relaxed);
-  trace::counter_add("serve.crashes", 1);
+  count(Event::kCrashes);
   // Requeue the in-flight batch at the head of the queue before dying:
   // no client future is ever stranded by a crash, the work just lands
   // on a surviving (or restarted) replica.
@@ -539,8 +545,7 @@ void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = batch.rbegin(); it != batch.rend(); ++it)
       queue_.push_front(std::move(*it));
-    crash_requeues_.fetch_add(static_cast<std::int64_t>(batch.size()),
-                              std::memory_order_relaxed);
+    count(Event::kCrashRequeues, static_cast<std::int64_t>(batch.size()));
     inflight_count_.fetch_sub(static_cast<std::int64_t>(batch.size()),
                               std::memory_order_acq_rel);
     --live_replicas_;
@@ -550,13 +555,13 @@ void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {
       all_dead_ = true;
       for (auto& dispatch : queue_) {
         if (!claim_dispatch(dispatch)) continue;
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        count(Event::kErrors);
         resolve_failure(dispatch, RequestStatus::kError);
       }
       queue_.clear();
       for (auto& timed : retry_heap_) {
         if (!claim_dispatch(timed.dispatch)) continue;
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        count(Event::kErrors);
         resolve_failure(timed.dispatch, RequestStatus::kError);
       }
       retry_heap_.clear();
@@ -659,8 +664,7 @@ void ModelServer::replica_loop(Replica& replica) {
 
     for (auto& dispatch : expired) {
       if (!claim_dispatch(dispatch)) continue;
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      trace::counter_add("serve.expired", 1);
+      count(Event::kExpired);
       record_outcome(false);
       resolve_failure(dispatch, RequestStatus::kExpired);
     }
@@ -685,11 +689,9 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   // Queue wait ends now, as assembly begins. Emitted with explicit
   // endpoints because the span started on the client thread.
   StageLatencies lat;
-  for (const Dispatch& dispatch : batch) {
-    lat.queue_wait.record_ns(start_ns - dispatch.req->enqueue_ns);
-    trace::record_span("serve.enqueue_wait", "serve",
-                       dispatch.req->enqueue_ns, start_ns);
-  }
+  for (const Dispatch& dispatch : batch)
+    record_stage("serve.enqueue_wait", lat.queue_wait,
+                 dispatch.req->enqueue_ns, start_ns);
 
   // Plan extent: assemble + forward, keyed by batch rows. It closes
   // after forward; the scatter below still reads logits/probs safely
@@ -700,31 +702,27 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
       replica.planner.step(batch_size));
 
   // Assemble: gather request samples into one [B, ...sample] tensor.
-  tensor::Tensor batched;
-  {
-    trace::Span span("serve.assemble", "serve");
-    const tensor::Shape& sample = options_.sample_shape;
-    tensor::Shape batched_shape;
-    switch (sample.rank()) {
-      case 1:
-        batched_shape = {batch_size, sample[0]};
-        break;
-      case 2:
-        batched_shape = {batch_size, sample[0], sample[1]};
-        break;
-      default:
-        batched_shape = {batch_size, sample[0], sample[1], sample[2]};
-        break;
-    }
-    // uninit: every element is memcpy'd below (ownership rule).
-    batched = tensor::Tensor::uninit(batched_shape);
-    const std::int64_t stride = sample.numel();
-    float* dst = batched.raw();
-    for (std::int64_t i = 0; i < batch_size; ++i)
-      std::memcpy(dst + i * stride,
-                  batch[static_cast<std::size_t>(i)].req->input.raw(),
-                  static_cast<std::size_t>(stride) * sizeof(float));
+  const tensor::Shape& sample = options_.sample_shape;
+  tensor::Shape batched_shape;
+  switch (sample.rank()) {
+    case 1:
+      batched_shape = {batch_size, sample[0]};
+      break;
+    case 2:
+      batched_shape = {batch_size, sample[0], sample[1]};
+      break;
+    default:
+      batched_shape = {batch_size, sample[0], sample[1], sample[2]};
+      break;
   }
+  // uninit: every element is memcpy'd below (ownership rule).
+  tensor::Tensor batched = tensor::Tensor::uninit(batched_shape);
+  const std::int64_t stride = sample.numel();
+  float* dst = batched.raw();
+  for (std::int64_t i = 0; i < batch_size; ++i)
+    std::memcpy(dst + i * stride,
+                batch[static_cast<std::size_t>(i)].req->input.raw(),
+                static_cast<std::size_t>(stride) * sizeof(float));
   const std::int64_t assembled_ns = now_ns();
 
   // Injected slowdown lands inside the "busy" window so the stall
@@ -732,14 +730,11 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   fault::serve_maybe_stall(replica.slot, batch_ordinal, &hard_stop_);
 
   // Forward: one batched pass over the shared frozen weights.
-  tensor::Tensor logits;
+  const tensor::Tensor logits =
+      replica.model.forward(batched, options_.device);
   tensor::Tensor probs;
-  {
-    trace::Span span("serve.forward", "serve");
-    logits = replica.model.forward(batched, options_.device);
-    if (options_.compute_probabilities)
-      probs = tensor::softmax_rows(logits, options_.device);
-  }
+  if (options_.compute_probabilities)
+    probs = tensor::softmax_rows(logits, options_.device);
   const std::int64_t forwarded_ns = now_ns();
 
   // Close the plan extent and mirror the sealed footprint for stats().
@@ -757,82 +752,75 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   std::int64_t delivered = 0;
   std::vector<std::optional<Prediction>> resolutions(
       static_cast<std::size_t>(batch_size));
-  {
-    trace::Span span("serve.scatter", "serve");
-    const std::int64_t classes = logits.shape().dim(-1);
-    const float* logit_rows = logits.raw();
-    for (std::int64_t i = 0; i < batch_size; ++i) {
-      Dispatch& dispatch = batch[static_cast<std::size_t>(i)];
-      Request& req = *dispatch.req;
-      if (fault::serve_forward_error(req.id, dispatch.attempt)) {
-        bool retry_scheduled = false;
-        if (options_.supervise && dispatch.attempt < options_.max_retries &&
-            !hard_stop_.load(std::memory_order_acquire)) {
-          const std::int64_t backoff_ns = static_cast<std::int64_t>(
-              kRetryBackoffS * 1e9 *
-              static_cast<double>(std::int64_t{1} << dispatch.attempt));
-          std::lock_guard<std::mutex> lock(mu_);
-          retry_heap_.push_back(
-              {now_ns() + backoff_ns,
-               Dispatch{dispatch.req, dispatch.attempt + 1, false}});
-          std::push_heap(retry_heap_.begin(), retry_heap_.end(), heap_later);
-          retries_.fetch_add(1, std::memory_order_relaxed);
-          trace::counter_add("serve.retries", 1);
-          retry_scheduled = true;
-        }
-        if (!retry_scheduled && claim_dispatch(dispatch)) {
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          trace::counter_add("serve.errors", 1);
-          record_outcome(false);
-          Prediction failure = make_failure(RequestStatus::kError);
-          failure.attempts = dispatch.attempt + 1;
-          failure.hedged = req.hedged.load(std::memory_order_relaxed);
-          resolutions[static_cast<std::size_t>(i)] = std::move(failure);
-        }
-        continue;
+  const std::int64_t classes = logits.shape().dim(-1);
+  const float* logit_rows = logits.raw();
+  for (std::int64_t i = 0; i < batch_size; ++i) {
+    Dispatch& dispatch = batch[static_cast<std::size_t>(i)];
+    Request& req = *dispatch.req;
+    if (fault::serve_forward_error(req.id, dispatch.attempt)) {
+      bool retry_scheduled = false;
+      if (options_.supervise && dispatch.attempt < options_.max_retries &&
+          !hard_stop_.load(std::memory_order_acquire)) {
+        const std::int64_t backoff_ns = static_cast<std::int64_t>(
+            kRetryBackoffS * 1e9 *
+            static_cast<double>(std::int64_t{1} << dispatch.attempt));
+        std::lock_guard<std::mutex> lock(mu_);
+        retry_heap_.push_back(
+            {now_ns() + backoff_ns,
+             Dispatch{dispatch.req, dispatch.attempt + 1, false}});
+        std::push_heap(retry_heap_.begin(), retry_heap_.end(), heap_later);
+        count(Event::kRetries);
+        retry_scheduled = true;
       }
-      if (req.claimed.exchange(true)) continue;  // hedge twin won
-      Prediction result;
-      result.status = RequestStatus::kOk;
-      const float* row = logit_rows + i * classes;
-      result.label = static_cast<std::int64_t>(
-          std::max_element(row, row + classes) - row);
-      if (options_.compute_probabilities) {
-        const float* prow = probs.raw() + i * classes;
-        result.probabilities.assign(prow, prow + classes);
+      if (!retry_scheduled && claim_dispatch(dispatch)) {
+        count(Event::kErrors);
+        record_outcome(false);
+        Prediction failure = make_failure(RequestStatus::kError);
+        failure.attempts = dispatch.attempt + 1;
+        failure.hedged = req.hedged.load(std::memory_order_relaxed);
+        resolutions[static_cast<std::size_t>(i)] = std::move(failure);
       }
-      if (fault::serve_corrupt_response(req.id)) {
-        // Detectable payload damage: probabilities no longer sum to 1
-        // (or the label is shifted when no probabilities ride along).
-        if (!result.probabilities.empty()) {
-          for (float& p : result.probabilities) p *= 2.0f;
-        } else {
-          result.label = (result.label + 1) % classes;
-        }
-        corrupted_.fetch_add(1, std::memory_order_relaxed);
-        trace::counter_add("serve.corrupted", 1);
-      }
-      result.batch_size = batch_size;
-      result.attempts = dispatch.attempt + 1;
-      result.hedged = req.hedged.load(std::memory_order_relaxed);
-      result.queue_wait_s =
-          static_cast<double>(start_ns - req.enqueue_ns) * 1e-9;
-      const std::int64_t total_ns = now_ns() - req.enqueue_ns;
-      result.total_s = static_cast<double>(total_ns) * 1e-9;
-      lat.total.record_ns(total_ns);
-      if (dispatch.is_hedge)
-        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-      ++delivered;
-      record_outcome(true);
-      resolutions[static_cast<std::size_t>(i)] = std::move(result);
+      continue;
     }
+    if (req.claimed.exchange(true)) continue;  // hedge twin won
+    Prediction result;
+    result.status = RequestStatus::kOk;
+    const float* row = logit_rows + i * classes;
+    result.label = static_cast<std::int64_t>(
+        std::max_element(row, row + classes) - row);
+    if (options_.compute_probabilities) {
+      const float* prow = probs.raw() + i * classes;
+      result.probabilities.assign(prow, prow + classes);
+    }
+    if (fault::serve_corrupt_response(req.id)) {
+      // Detectable payload damage: probabilities no longer sum to 1
+      // (or the label is shifted when no probabilities ride along).
+      if (!result.probabilities.empty()) {
+        for (float& p : result.probabilities) p *= 2.0f;
+      } else {
+        result.label = (result.label + 1) % classes;
+      }
+      count(Event::kCorrupted);
+    }
+    result.batch_size = batch_size;
+    result.attempts = dispatch.attempt + 1;
+    result.hedged = req.hedged.load(std::memory_order_relaxed);
+    result.queue_wait_s = seconds_between(req.enqueue_ns, start_ns);
+    const std::int64_t total_ns = now_ns() - req.enqueue_ns;
+    result.total_s = static_cast<double>(total_ns) * 1e-9;
+    lat.total.record_ns(total_ns);
+    if (dispatch.is_hedge) count(Event::kHedgeWins);
+    ++delivered;
+    record_outcome(true);
+    resolutions[static_cast<std::size_t>(i)] = std::move(result);
   }
+
   const std::int64_t end_ns = now_ns();
 
-  lat.assemble.record_ns(assembled_ns - start_ns);
-  lat.forward.record_ns(forwarded_ns - assembled_ns);
-  lat.scatter.record_ns(end_ns - forwarded_ns);
-  trace::counter_add("serve.batches", 1);
+  record_stage("serve.assemble", lat.assemble, start_ns, assembled_ns);
+  record_stage("serve.forward", lat.forward, assembled_ns, forwarded_ns);
+  record_stage("serve.scatter", lat.scatter, forwarded_ns, end_ns);
+  count(Event::kBatches);
 
   // Accounting commits before any promise resolves and before the
   // in-flight count drops, so both a just-resumed client and a drain
@@ -841,8 +829,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
     std::lock_guard<std::mutex> lock(replica.mu);
     replica.lat.merge(lat);
     replica.completed += delivered;
-    replica.batches += 1;
-    replica.busy_s += static_cast<double>(end_ns - start_ns) * 1e-9;
+    replica.busy_s += seconds_between(start_ns, end_ns);
   }
   for (std::int64_t i = 0; i < batch_size; ++i) {
     auto& resolution = resolutions[static_cast<std::size_t>(i)];

@@ -36,13 +36,16 @@
 // runtime/fault's seeded serve plan, so injected-event counts are
 // reproducible run-to-run (the determinism contract).
 //
-// Every stage is measured twice: into reusable LatencyHistograms
-// (per-replica, merged on stats()) and as runtime/trace spans
-// ("serve.enqueue_wait" / "serve.assemble" / "serve.forward" /
-// "serve.scatter"), so chrome://tracing shows the batching pipeline
-// whenever a TraceScope is active. Supervision events additionally
-// feed trace counters ("serve.crashes", "serve.restarts", ...).
+// Every stage is timed once, from the clock readings process_batch
+// takes anyway; each interval feeds a reusable LatencyHistogram
+// (per-replica, merged on stats()) and, when a TraceScope is active, a
+// runtime/trace span ("serve.enqueue_wait" / "serve.assemble" /
+// "serve.forward" / "serve.scatter"), so chrome://tracing shows the
+// batching pipeline. Every event is counted once: one call bumps its
+// ServerStats field and the "serve.*" trace counter of the same name,
+// both named in one table (kEvents in server.cpp).
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -322,7 +325,6 @@ class ModelServer {
     std::thread thread;
     mutable std::mutex mu;
     StageLatencies lat;
-    std::int64_t batches = 0;
     std::int64_t completed = 0;
     double busy_s = 0.0;
     /// Set by the replica thread as it crash-exits.
@@ -345,6 +347,33 @@ class ModelServer {
 
     Replica(nn::FrozenModel m, int s) : model(std::move(m)), slot(s) {}
   };
+
+  /// Counted serve events, in the order of the name table kEvents
+  /// (server.cpp): each is one ServerStats field and one trace counter.
+  enum class Event {
+    kSubmitted,
+    kRejected,
+    kBatches,
+    kExpired,
+    kErrors,
+    kShedBreaker,
+    kRetries,
+    kHedges,
+    kHedgeWins,
+    kCorrupted,
+    kCrashes,
+    kRestarts,
+    kStallsReplaced,
+    kCrashRequeues,
+    kBreakerOpens,
+    kBreakerCloses,
+    kCount,  // number of events, not an event
+  };
+  static constexpr auto kEventCount = static_cast<std::size_t>(Event::kCount);
+
+  /// Counts `n` occurrences of `event`: the stats counter and the trace
+  /// counter move together, from any thread.
+  void count(Event event, std::int64_t n = 1);
 
   void replica_loop(Replica& replica);
   void process_batch(Replica& replica, std::vector<Dispatch>& batch,
@@ -380,9 +409,7 @@ class ModelServer {
   bool drain_ = true;
   std::atomic<bool> hard_stop_{false};
   std::int64_t next_id_ = 0;
-  std::int64_t submitted_ = 0;
   std::int64_t accepted_ = 0;
-  std::int64_t rejected_ = 0;
   std::int64_t rejected_shutdown_ = 0;
   std::int64_t max_queue_depth_ = 0;
   std::int64_t live_replicas_ = 0;
@@ -394,20 +421,9 @@ class ModelServer {
   bool breaker_open_ = false;
   std::int64_t breaker_open_until_ns_ = 0;
 
-  // Event counters: bumped from replica/supervisor threads without mu_.
-  std::atomic<std::int64_t> expired_{0};
-  std::atomic<std::int64_t> errors_{0};
-  std::atomic<std::int64_t> shed_breaker_{0};
-  std::atomic<std::int64_t> retries_{0};
-  std::atomic<std::int64_t> hedges_{0};
-  std::atomic<std::int64_t> hedge_wins_{0};
-  std::atomic<std::int64_t> corrupted_{0};
-  std::atomic<std::int64_t> crashes_{0};
-  std::atomic<std::int64_t> restarts_{0};
-  std::atomic<std::int64_t> stalls_replaced_{0};
-  std::atomic<std::int64_t> crash_requeues_{0};
-  std::atomic<std::int64_t> breaker_opens_{0};
-  std::atomic<std::int64_t> breaker_closes_{0};
+  // Event counters, indexed by Event; bumped only through count(),
+  // from any thread, with or without mu_.
+  std::array<std::atomic<std::int64_t>, kEventCount> events_{};
   std::atomic<std::int64_t> inflight_count_{0};
 
   /// Fleet topology: slot vector + retired incarnations. Guarded by

@@ -37,7 +37,9 @@ Context gpu_ctx() {
   return ctx;
 }
 
-// One small trained model shared by every test here (trained once).
+// One small trained model, for the sweeps that need a model that
+// classifies well. Each ctest process trains it again, so only the
+// Determinism tests use it.
 struct TrainedFixture {
   data::DatasetPair mnist;
   nn::Sequential model;
@@ -65,13 +67,28 @@ TrainedFixture& fixture() {
   return fx;
 }
 
+// Clone and engine bookkeeping hold for any weights: an untrained
+// model builds in milliseconds.
+nn::Sequential untrained_model() {
+  const auto fw = frameworks::make_framework(FrameworkKind::kCaffe);
+  util::Rng rng(3);
+  return fw->build_model(frameworks::default_network_spec(
+                             FrameworkKind::kCaffe, DatasetId::kMnist),
+                         Device::cpu(), rng);
+}
+
+tensor::Tensor mnist_sample() {
+  util::Rng rng(5);
+  return tensor::Tensor::randn(tensor::Shape({1, 1, 28, 28}), rng);
+}
+
 TEST(SequentialClone, ReplicaMatchesOriginalBitwise) {
-  auto& fx = fixture();
-  nn::Sequential replica = fx.model.clone();
+  nn::Sequential model = untrained_model();
+  nn::Sequential replica = model.clone();
   Context ctx = gpu_ctx();
   ctx.device = Device::cpu();
-  tensor::Tensor x = fx.mnist.test.sample(0);
-  tensor::Tensor a = fx.model.forward(x, ctx);
+  tensor::Tensor x = mnist_sample();
+  tensor::Tensor a = model.forward(x, ctx);
   tensor::Tensor b = replica.forward(x, ctx);
   ASSERT_EQ(a.numel(), b.numel());
   EXPECT_EQ(std::memcmp(a.raw(), b.raw(),
@@ -80,18 +97,18 @@ TEST(SequentialClone, ReplicaMatchesOriginalBitwise) {
 }
 
 TEST(SequentialClone, ReplicaWeightsAreIndependentStorage) {
-  auto& fx = fixture();
-  nn::Sequential replica = fx.model.clone();
+  nn::Sequential model = untrained_model();
+  nn::Sequential replica = model.clone();
   Context ctx = gpu_ctx();
   ctx.device = Device::cpu();
-  tensor::Tensor x = fx.mnist.test.sample(0);
-  tensor::Tensor before = fx.model.forward(x, ctx).clone();
+  tensor::Tensor x = mnist_sample();
+  tensor::Tensor before = model.forward(x, ctx).clone();
 
   // Corrupt every replica parameter; the original must not notice.
   for (auto* param : replica.params())
     for (std::int64_t i = 0; i < param->numel(); ++i)
       param->raw()[i] += 1.f;
-  tensor::Tensor after = fx.model.forward(x, ctx);
+  tensor::Tensor after = model.forward(x, ctx);
   EXPECT_EQ(std::memcmp(before.raw(), after.raw(),
                         static_cast<std::size_t>(before.numel()) *
                             sizeof(float)),
@@ -101,13 +118,11 @@ TEST(SequentialClone, ReplicaWeightsAreIndependentStorage) {
 // A replica of a model with cached activations and non-zero gradients
 // starts fresh: zero gradients, and no cache to run backward from.
 TEST(SequentialClone, ReplicaStartsWithZeroGradsAndEmptyCaches) {
-  auto& fx = fixture();
-  nn::Sequential source = fx.model.clone();
+  nn::Sequential source = untrained_model();
   Context ctx = gpu_ctx();
   ctx.device = Device::cpu();
-  const std::vector<std::int64_t> labels{fx.mnist.test.labels[0]};
-  const nn::LossResult loss =
-      source.forward_loss(fx.mnist.test.sample(0), labels, ctx);
+  const std::vector<std::int64_t> labels{3};
+  const nn::LossResult loss = source.forward_loss(mnist_sample(), labels, ctx);
   (void)source.backward(loss, labels, ctx);
 
   nn::Sequential replica = source.clone();
@@ -128,11 +143,11 @@ TEST(SequentialClone, ReplicaStartsWithZeroGradsAndEmptyCaches) {
 }
 
 TEST(CraftUnits, CoversEveryUnitOnceAndCountsThem) {
-  auto& fx = fixture();
+  const nn::Sequential model = untrained_model();
   const std::int64_t units = 23;
   std::vector<int> hits(static_cast<std::size_t>(units), 0);
   CraftTiming t = craft_units(
-      fx.model, gpu_ctx(), units, /*threads=*/4,
+      model, gpu_ctx(), units, /*threads=*/4,
       [&](nn::Sequential&, const Context& ctx, std::int64_t u) {
         // The engine must hand units a serial device (determinism +
         // no pool re-entrancy) and an eval-mode context.
@@ -148,9 +163,9 @@ TEST(CraftUnits, CoversEveryUnitOnceAndCountsThem) {
 }
 
 TEST(CraftUnits, PropagatesUnitException) {
-  auto& fx = fixture();
+  const nn::Sequential model = untrained_model();
   EXPECT_THROW(
-      craft_units(fx.model, gpu_ctx(), 8, /*threads=*/2,
+      craft_units(model, gpu_ctx(), 8, /*threads=*/2,
                   [&](nn::Sequential&, const Context&, std::int64_t u) {
                     if (u == 5) throw dlbench::Error("unit boom");
                     return 1e-4;
@@ -225,18 +240,16 @@ TEST(Determinism, JsmaSweepIsBitwiseIdenticalAcrossThreadCounts) {
 // Crafting with more threads than units must clamp, not spawn idle
 // replicas (each replica deep-copies all weights).
 TEST(CraftUnits, ClampsWorkersToUnitCount) {
-  auto& fx = fixture();
   CraftTiming t = craft_units(
-      fx.model, gpu_ctx(), /*unit_count=*/2, /*threads=*/16,
+      untrained_model(), gpu_ctx(), /*unit_count=*/2, /*threads=*/16,
       [&](nn::Sequential&, const Context&, std::int64_t) { return 1e-4; });
   EXPECT_LE(t.threads, 2);
   EXPECT_EQ(t.craft_time.count(), 2);
 }
 
 TEST(CraftUnits, ZeroUnitsIsANoop) {
-  auto& fx = fixture();
   CraftTiming t = craft_units(
-      fx.model, gpu_ctx(), 0, 4,
+      untrained_model(), gpu_ctx(), 0, 4,
       [&](nn::Sequential&, const Context&, std::int64_t) {
         ADD_FAILURE() << "no units should run";
         return 0.0;
@@ -263,12 +276,7 @@ TEST(CraftUnits, SharesTheDevicePool) {
     return n;
   };
   ::setenv("DLB_THREADS", "3", 1);
-  const auto fw = frameworks::make_framework(FrameworkKind::kCaffe);
-  util::Rng rng(3);
-  const nn::Sequential model = fw->build_model(
-      frameworks::default_network_spec(FrameworkKind::kCaffe,
-                                       DatasetId::kMnist),
-      Device::cpu(), rng);
+  const nn::Sequential model = untrained_model();
   // Sanitizer runtimes start a helper thread at the first thread
   // creation; create (and join) one before taking the baseline.
   std::thread([] {}).join();

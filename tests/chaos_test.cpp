@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "frameworks/predictor.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/histogram.hpp"
+#include "runtime/trace.hpp"
 #include "serve/server.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -30,6 +32,8 @@ using dlbench::frameworks::make_predictor;
 using dlbench::frameworks::PredictorConfig;
 using dlbench::runtime::fault::FaultPlan;
 using dlbench::runtime::fault::FaultScope;
+using dlbench::runtime::trace::TraceReport;
+using dlbench::runtime::trace::TraceScope;
 using dlbench::serve::ModelServer;
 using dlbench::serve::Prediction;
 using dlbench::serve::RequestStatus;
@@ -428,6 +432,94 @@ TEST(ChaosDeterminism, MixedFaultCountsAreIdenticalRunToRun) {
   EXPECT_GT(a.expired, 0);
   EXPECT_GT(a.retries, 0);
   EXPECT_GT(a.corrupted, 0);
+}
+
+// ---- trace counters agree with ServerStats ----------------------------
+
+/// Every "serve.*" trace counter equals the ServerStats field it names,
+/// and a field that counted something has its trace counter.
+void expect_counters_match(const TraceReport& report,
+                           const ServerStats& stats) {
+  const std::map<std::string, std::int64_t> expected = {
+      {"serve.requests", stats.submitted},
+      {"serve.rejected", stats.rejected},
+      {"serve.batches", stats.batches},
+      {"serve.expired", stats.expired},
+      {"serve.errors", stats.errors},
+      {"serve.shed", stats.shed_breaker},
+      {"serve.retries", stats.retries},
+      {"serve.hedges", stats.hedges},
+      {"serve.hedge_wins", stats.hedge_wins},
+      {"serve.corrupted", stats.corrupted},
+      {"serve.crashes", stats.crashes},
+      {"serve.restarts", stats.restarts},
+      {"serve.stalls_replaced", stats.stalls_replaced},
+      {"serve.crash_requeues", stats.crash_requeues},
+      {"serve.breaker_opens", stats.breaker_opens},
+      {"serve.breaker_closes", stats.breaker_closes},
+  };
+  std::map<std::string, std::int64_t> traced;
+  for (const auto& c : report.counters)
+    if (c.name.rfind("serve.", 0) == 0 && c.name != "serve.queue_depth")
+      traced[c.name] = c.value;
+  for (const auto& [name, value] : traced)
+    EXPECT_TRUE(expected.count(name) == 1) << "unmapped counter " << name;
+  for (const auto& [name, value] : expected) {
+    const auto it = traced.find(name);
+    EXPECT_EQ(it == traced.end() ? 0 : it->second, value) << name;
+  }
+}
+
+TEST(ChaosTrace, ServeCountersEqualServerStats) {
+  if (!dlbench::runtime::trace::compiled())
+    GTEST_SKIP() << "tracing compiled out";
+  const auto samples = mnist_samples(8);
+  {
+    SCOPED_TRACE("unsupervised fleet dies, then shuts down");
+    TraceScope trace;
+    ServerStats stats;
+    {
+      FaultPlan plan;
+      plan.serve_crash_every = 1;
+      FaultScope faults(plan);
+      ServerOptions opts = chaos_options();
+      opts.supervise = false;
+      ModelServer server(mnist_model(), opts);
+      drive(server, samples, 16);
+      EXPECT_EQ(server.predict(samples[0]).status, RequestStatus::kError);
+      server.shutdown(true);
+      EXPECT_EQ(server.predict(samples[0]).status, RequestStatus::kShutdown);
+      stats = server.stats();
+    }  // server joined: no instrumented work in flight
+    EXPECT_EQ(stats.errors, 17);
+    EXPECT_EQ(stats.submitted, 18);
+    expect_counters_match(trace.report(), stats);
+  }
+  {
+    SCOPED_TRACE("mixed faults");
+    TraceScope trace;
+    ServerStats stats;
+    {
+      FaultPlan plan;
+      plan.serve_crash_every = 2;
+      plan.serve_crash_max = 3;
+      plan.serve_error_rate = 0.2;
+      plan.serve_error_attempts = 1;
+      plan.serve_corrupt_rate = 0.15;
+      plan.serve_expire_rate = 0.1;
+      FaultScope faults(plan);
+      ServerOptions opts = chaos_options();
+      opts.max_retries = 2;
+      ModelServer server(mnist_model(), opts);
+      drive(server, samples, 120);
+      server.shutdown(true);
+      stats = server.stats();
+    }
+    EXPECT_GT(stats.crash_requeues, 0);
+    EXPECT_GT(stats.retries, 0);
+    EXPECT_GT(stats.expired, 0);
+    expect_counters_match(trace.report(), stats);
+  }
 }
 
 // ---- ChaosRecord reporting -------------------------------------------

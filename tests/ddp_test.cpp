@@ -250,5 +250,59 @@ TEST(Ddp, RecoversFromInjectedGradientFault) {
   EXPECT_EQ(scope.stats().gradient_fires, 1);
 }
 
+// ---- phase timing ----
+
+// PhaseBreakdown is measured in every build, tracing compiled in or
+// out: every phase of a short run reads above zero, comm only on the
+// data-parallel run, and the disjoint phases never sum past wall time.
+TEST(Ddp, PhaseBreakdownIsMeasuredInEveryBuild) {
+  auto fw = make_framework(FrameworkKind::kCaffe);
+  data::MnistOptions d;
+  d.train_samples = 100;
+  d.test_samples = 10;
+  const data::DatasetPair mnist = data::synthetic_mnist(d);
+  const TrainingConfig config =
+      default_training_config(FrameworkKind::kCaffe, DatasetId::kMnist);
+  const nn::NetworkSpec spec =
+      default_network_spec(FrameworkKind::kCaffe, DatasetId::kMnist);
+  TrainOptions options;
+  options.scale.max_step_cap = 4;
+
+  const auto expect_measured = [](const TrainResult& res, bool dp) {
+    const PhaseBreakdown& p = res.phases;
+    EXPECT_EQ(res.steps, 4);
+    EXPECT_GT(p.data_s, 0.0);
+    EXPECT_GT(p.forward_s, 0.0);
+    EXPECT_GT(p.backward_s, 0.0);
+    EXPECT_GT(p.optimizer_s, 0.0);
+    if (dp) {
+      EXPECT_GT(p.comm_s, 0.0);
+    } else {
+      EXPECT_EQ(p.comm_s, 0.0);
+    }
+    EXPECT_LE(p.total(), res.train_time_s);
+  };
+
+  util::Rng rng(11);
+  nn::Sequential serial = fw->build_model(spec, Device::cpu(), rng);
+  {
+    SCOPED_TRACE("Framework::train");
+    expect_measured(
+        fw->train(serial, mnist.train, config, Device::cpu(), options),
+        /*dp=*/false);
+  }
+
+  DataParallelOptions dp_options;
+  dp_options.workers = 2;
+  dp_options.train = options;
+  nn::Sequential replicated = fw->build_model(spec, Device::cpu(), rng);
+  {
+    SCOPED_TRACE("DataParallelTrainer::train K=2");
+    expect_measured(DataParallelTrainer(*fw, dp_options)
+                        .train(replicated, mnist.train, config, Device::cpu()),
+                    /*dp=*/true);
+  }
+}
+
 }  // namespace
 }  // namespace dlbench::frameworks

@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/clock.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scale.hpp"
-#include "runtime/stopwatch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -331,14 +331,17 @@ TEST(Scale, InvalidFractionThrows) {
   EXPECT_THROW(cfg.scale_samples(10), dlbench::Error);
 }
 
+// now_ns() is the one clock every elapsed time is read from.
 TEST(Stopwatch, MeasuresElapsedTime) {
-  Stopwatch sw;
+  const std::int64_t first = now_ns();
+  const std::int64_t second = now_ns();
+  EXPECT_LE(first, second);
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  EXPECT_GT(sw.seconds(), 0.0);
-  const double before = sw.seconds();
-  sw.reset();
-  EXPECT_LT(sw.seconds(), before + 1.0);
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  const std::int64_t after = now_ns();
+  EXPECT_GT(after, second);
+  EXPECT_GT(seconds_since(first), 0.0);
+  EXPECT_DOUBLE_EQ(seconds_between(first, first + 1500000000), 1.5);
 }
 
 }  // namespace
