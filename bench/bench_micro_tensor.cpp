@@ -178,16 +178,44 @@ void BM_ConvGemmLenet1(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmLenet1)->Args({16, 0})->Args({16, 1})->Args({64, 1})->UseRealTime();
 
-// Conv backward (dx, dW and db) at two paper layers: range(0) = 0 is
+// Conv forward and backward at two paper layers: range(0) = 0 is
 // TF-MNIST conv2 (32->64, 5x5 pad 2, 14x14) at batch 50 on 2 workers;
 // 1 is Caffe-CIFAR conv2 (32->32, 5x5 pad 2, 16x16) on one 25-sample
-// data-parallel shard, serial. FLOPs count the dW and dx GEMMs.
+// data-parallel shard, serial.
+struct PaperConv {
+  tensor::ConvGeom g;
+  std::int64_t batch;
+  Device dev;
+};
+
+PaperConv paper_conv(std::int64_t which) {
+  if (which == 0)
+    return {tensor::ConvGeom{32, 14, 14, 64, 5, 1, 2}, 50, Device::parallel(2)};
+  return {tensor::ConvGeom{32, 16, 16, 32, 5, 1, 2}, 25, Device::cpu()};
+}
+
+void BM_ConvForward(benchmark::State& state) {
+  const auto [g, batch, dev] = paper_conv(state.range(0));
+  util::Rng rng(5);
+  Tensor x = Tensor::randn(Shape({batch, g.in_c, g.in_h, g.in_w}), rng);
+  Tensor w = Tensor::randn(Shape({g.out_c, g.patch_size()}), rng);
+  Tensor b = Tensor::randn(Shape({g.out_c}), rng);
+  for (auto _ : state) {
+    Tensor y = tensor::conv2d_forward(x, w, b, g, dev);
+    benchmark::DoNotOptimize(y.raw());
+  }
+  const double positions =
+      static_cast<double>(batch) * g.out_h() * g.out_w();
+  set_rates(state,
+            2.0 * positions * g.out_c * static_cast<double>(g.patch_size()),
+            4.0 * (static_cast<double>(x.numel()) + w.numel() + b.numel() +
+                   positions * g.out_c));
+}
+BENCHMARK(BM_ConvForward)->Arg(0)->Arg(1)->UseRealTime();
+
+// FLOPs count the dW and dx GEMMs.
 void BM_ConvBackward(benchmark::State& state) {
-  const bool tf = state.range(0) == 0;
-  const tensor::ConvGeom g = tf ? tensor::ConvGeom{32, 14, 14, 64, 5, 1, 2}
-                                : tensor::ConvGeom{32, 16, 16, 32, 5, 1, 2};
-  const std::int64_t batch = tf ? 50 : 25;
-  const Device dev = tf ? Device::parallel(2) : Device::cpu();
+  const auto [g, batch, dev] = paper_conv(state.range(0));
   util::Rng rng(5);
   Tensor x = Tensor::randn(Shape({batch, g.in_c, g.in_h, g.in_w}), rng);
   Tensor w = Tensor::randn(Shape({g.out_c, g.patch_size()}), rng);

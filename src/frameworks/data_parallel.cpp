@@ -257,7 +257,7 @@ class ShardedGradients final : public detail::GradientSource {
       }
       {
         Span backward(nullptr, nullptr, &bwd_s);
-        replica.backward(loss, sh.labels, ctx);
+        replica.backward_params(loss, sh.labels, ctx);
       }
       sh.loss = loss.loss;
       const auto replica_grads = replica.grads();

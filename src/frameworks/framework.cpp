@@ -63,7 +63,7 @@ class LocalGradients final : public detail::GradientSource {
       loss = model_.forward_loss(batch.images, batch.labels, ctx_);
     }
     Span backward(nullptr, nullptr, &phases.backward_s);
-    model_.backward(loss, batch.labels, ctx_);
+    model_.backward_params(loss, batch.labels, ctx_);
     return loss.loss;
   }
 

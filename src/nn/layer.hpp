@@ -84,6 +84,14 @@ class Layer {
   /// block alone. A stacked `dy` with param_grads on throws.
   virtual Tensor backward(const Tensor& dy, const Context& ctx) = 0;
 
+  /// backward() for a layer whose dL/dx nobody reads, e.g. the first
+  /// layer of a training step: accumulates the same parameter
+  /// gradients, bit for bit, and returns nothing. The default runs
+  /// backward() and drops dx; a layer whose dx costs real work skips it.
+  virtual void backward_params(const Tensor& dy, const Context& ctx) {
+    (void)backward(dy, ctx);
+  }
+
   /// Parameter tensors (empty for stateless layers). Order is stable
   /// and matches grads().
   virtual std::vector<Tensor*> params() { return {}; }

@@ -57,6 +57,16 @@ Tensor Conv2d::backward(const Tensor& dy, const Context& ctx) {
   return g.dx;
 }
 
+void Conv2d::backward_params(const Tensor& dy, const Context& ctx) {
+  DLB_CHECK(!cached_input_.empty(), "Conv2d::backward before forward");
+  DLB_CHECK(ctx.param_grads, "backward_params needs Context::param_grads");
+  cotangent_blocks(dy, cached_input_.dim(0), ctx);
+  auto g = tensor::conv2d_backward_params(cached_input_, weight_, dy, geom_,
+                                          ctx.device);
+  tensor::add_inplace(dweight_, g.dweight, ctx.device);
+  tensor::add_inplace(dbias_, g.dbias, ctx.device);
+}
+
 // ---- Linear ----
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features,

@@ -27,6 +27,7 @@ class Conv2d final : public Layer {
   LayerPtr clone() const override;
   Tensor forward(const Tensor& x, const Context& ctx) override;
   Tensor backward(const Tensor& dy, const Context& ctx) override;
+  void backward_params(const Tensor& dy, const Context& ctx) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&dweight_, &dbias_}; }
 

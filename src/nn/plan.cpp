@@ -103,7 +103,7 @@ void StepPlanner::finish_step(std::int64_t signature) {
     const bool spilled = st.replay_scope->spilled();
     st.replay_scope.reset();
     ++replayed_steps_;
-    runtime::trace::counter_add("plan.replays", 1);
+    tensor::arena::count(tensor::arena::Event::kPlanReplays);
     if (spilled) {
       // The step diverged from the measured trace (and completed on
       // the heap where it did). Drop the plan; the signature re-warms

@@ -9,7 +9,7 @@
 // into one reusable arena. Subsequent steps with the same shape
 // signature replay the plan: each allocation is served at its
 // precomputed offset and the steady-state hot path performs zero heap
-// allocations (asserted via the tensor.allocs trace counter).
+// allocations (asserted via the tensor.allocs count, tensor/arena.hpp).
 //
 // The planner does not know what a "step" computes; callers mark the
 // step extent and give it a shape signature (the batch row count in

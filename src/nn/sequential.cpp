@@ -69,26 +69,48 @@ LossResult Sequential::forward_loss(const Tensor& x,
   return r;
 }
 
+namespace {
+
+Tensor loss_head_backward(const LossResult& result,
+                          const std::vector<std::int64_t>& labels,
+                          const Context& ctx) {
+  runtime::trace::Span span("bwd/loss-head", "layer");
+  return tensor::softmax_cross_entropy_backward(result.probabilities, labels,
+                                                ctx.device);
+}
+
+}  // namespace
+
 Tensor Sequential::backward(const LossResult& result,
                             const std::vector<std::int64_t>& labels,
                             const Context& ctx) {
-  Tensor grad;
-  {
-    runtime::trace::Span span("bwd/loss-head", "layer");
-    grad = tensor::softmax_cross_entropy_backward(result.probabilities, labels,
-                                                  ctx.device);
-  }
-  return backward_from_logits(grad, ctx);
+  return backward_from_logits(loss_head_backward(result, labels, ctx), ctx);
+}
+
+void Sequential::backward_params(const LossResult& result,
+                                 const std::vector<std::int64_t>& labels,
+                                 const Context& ctx) {
+  backward_layers(loss_head_backward(result, labels, ctx), ctx,
+                  /*input_grad=*/false);
 }
 
 Tensor Sequential::backward_from_logits(const Tensor& dlogits,
                                         const Context& ctx) {
+  return backward_layers(dlogits, ctx, /*input_grad=*/true);
+}
+
+Tensor Sequential::backward_layers(const Tensor& dlogits, const Context& ctx,
+                                   bool input_grad) {
   DLB_CHECK(!layers_.empty(), "empty model");
   const bool traced = runtime::trace::enabled();
   if (traced) ensure_trace_labels();
   Tensor g = dlogits;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     runtime::trace::Span span(traced ? bwd_labels_[i] : nullptr, "layer");
+    if (i == 0 && !input_grad) {
+      layers_[0]->backward_params(g, ctx);
+      return Tensor();
+    }
     g = layers_[i]->backward(g, ctx);
   }
   return g;

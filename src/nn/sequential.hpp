@@ -59,6 +59,13 @@ class Sequential {
                   const std::vector<std::int64_t>& labels,
                   const Context& ctx);
 
+  /// backward() for a training step, which reads only the parameter
+  /// gradients: the same gradients, bit for bit, but the first layer
+  /// skips dL/dinput (Layer::backward_params).
+  void backward_params(const LossResult& result,
+                       const std::vector<std::int64_t>& labels,
+                       const Context& ctx);
+
   /// Backpropagates an arbitrary logit-space gradient through the
   /// activations cached by the last forward (N rows) and returns
   /// dL/dinput. Under ctx.param_grads off, no parameter gradient is
@@ -85,6 +92,12 @@ class Sequential {
   /// Lazily interns per-layer span labels ("fwd/<i>.<Type>", ...) the
   /// first time tracing is observed enabled. Rebuilt if layers change.
   void ensure_trace_labels();
+
+  /// Backpropagates `dlogits` through every layer; returns dL/dinput,
+  /// or, with `input_grad` off, runs the first layer's backward_params
+  /// and returns an empty tensor.
+  Tensor backward_layers(const Tensor& dlogits, const Context& ctx,
+                         bool input_grad);
 
   std::vector<LayerPtr> layers_;
   std::vector<const char*> fwd_labels_;

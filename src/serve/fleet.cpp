@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -170,8 +171,7 @@ std::future<Prediction> FleetManager::submit(int tenant_index,
               "fleet tenant index out of range");
     Tenant& tenant = tenants_[static_cast<std::size_t>(tenant_index)];
     const Model& model = *models_[static_cast<std::size_t>(tenant.model_index)];
-    ++tenant.submitted;
-    runtime::trace::counter_add("fleet.submitted", 1);
+    count_locked(Event::kSubmitted, &tenant, nullptr);
     if (stop_) {
       promise->set_value(immediate(RequestStatus::kShutdown));
       return future;
@@ -185,8 +185,7 @@ std::future<Prediction> FleetManager::submit(int tenant_index,
       const auto threshold = static_cast<std::int64_t>(
           watermark * static_cast<double>(options_.global_queue_budget));
       if (queued_total_ >= threshold) {
-        ++tenant.shed;
-        runtime::trace::counter_add("fleet.shed", 1);
+        count_locked(Event::kShed, &tenant, nullptr);
         log_locked(FleetDecisionKind::kShedAdmission, tenant.config.name,
                    model.config.name, tenant.config.slo, queued_total_);
         promise->set_value(immediate(RequestStatus::kShed));
@@ -194,8 +193,7 @@ std::future<Prediction> FleetManager::submit(int tenant_index,
       }
     }
     if (tenant.queue.size() >= options_.tenant_queue_capacity) {
-      ++tenant.rejected;
-      runtime::trace::counter_add("fleet.rejected", 1);
+      count_locked(Event::kRejected, &tenant, nullptr);
       log_locked(FleetDecisionKind::kRejectQueue, tenant.config.name,
                  model.config.name, tenant.config.slo,
                  static_cast<std::int64_t>(tenant.queue.size()));
@@ -298,14 +296,12 @@ void FleetManager::dispatcher_loop() {
     Queued queued = std::move(tenant.queue.front());
     tenant.queue.pop_front();
     --queued_total_;
-    ++tenant.dispatched;
-    ++model.dispatched;
+    count_locked(Event::kDispatches, &tenant, &model);
     ++model.inflight;
     ++inflight_total_;
     ++dispatch_count_;
     log_locked(FleetDecisionKind::kDispatch, tenant.config.name,
                model.config.name, tenant.config.slo, queued_total_);
-    runtime::trace::counter_add("fleet.dispatches", 1);
     const std::int64_t dispatch_ns = now_ns();
     std::future<Prediction> inner;
     {
@@ -431,7 +427,7 @@ void FleetManager::autoscale_locked() {
       const int from = m.target;
       ++m.target;
       ++total;
-      ++m.scale_ups;
+      count_locked(Event::kScaleUps, nullptr, &m);
       m.low_evals = 0;
       m.peak = std::max(m.peak, m.target);
       m.server->resize_replicas(m.target);
@@ -439,7 +435,6 @@ void FleetManager::autoscale_locked() {
                  SloClass::kSilver, m.target);
       timeline_.push_back(
           FleetScaleEvent{decision_ordinal_ - 1, m.config.name, from, m.target});
-      runtime::trace::counter_add("fleet.scale_ups", 1);
       runtime::trace::gauge_record("fleet.replicas", total);
     } else if (per_replica <= options_.scale_down_backlog &&
                m.target > m.config.min_replicas) {
@@ -447,7 +442,7 @@ void FleetManager::autoscale_locked() {
         const int from = m.target;
         --m.target;
         --total;
-        ++m.scale_downs;
+        count_locked(Event::kScaleDowns, nullptr, &m);
         m.low_evals = 0;
         m.low = std::min(m.low, m.target);
         m.server->resize_replicas(m.target);
@@ -455,7 +450,6 @@ void FleetManager::autoscale_locked() {
                    SloClass::kSilver, m.target);
         timeline_.push_back(FleetScaleEvent{decision_ordinal_ - 1,
                                             m.config.name, from, m.target});
-        runtime::trace::counter_add("fleet.scale_downs", 1);
         runtime::trace::gauge_record("fleet.replicas", total);
       }
     } else {
@@ -463,6 +457,27 @@ void FleetManager::autoscale_locked() {
       m.low_evals = 0;
     }
   }
+}
+
+void FleetManager::count_locked(Event event, Tenant* tenant, Model* model) {
+  struct Counted {
+    const char* trace;
+    std::int64_t Tenant::*tenant_field;
+    std::int64_t Model::*model_field;
+  };
+  static constexpr Counted kEvents[] = {
+      {"fleet.submitted", &Tenant::submitted, nullptr},
+      {"fleet.shed", &Tenant::shed, nullptr},
+      {"fleet.rejected", &Tenant::rejected, nullptr},
+      {"fleet.dispatches", &Tenant::dispatched, &Model::dispatched},
+      {"fleet.scale_ups", nullptr, &Model::scale_ups},
+      {"fleet.scale_downs", nullptr, &Model::scale_downs},
+  };
+  static_assert(std::size(kEvents) == static_cast<std::size_t>(Event::kCount));
+  const Counted& counted = kEvents[static_cast<std::size_t>(event)];
+  if (counted.tenant_field != nullptr) ++(tenant->*counted.tenant_field);
+  if (counted.model_field != nullptr) ++(model->*counted.model_field);
+  runtime::trace::counter_add(counted.trace, 1);
 }
 
 void FleetManager::log_locked(FleetDecisionKind kind,

@@ -333,6 +333,21 @@ class FleetManager {
     runtime::LatencyHistogram queue_wait;
   };
 
+  /// Counted fleet events, in the order of the table in count_locked().
+  enum class Event {
+    kSubmitted,
+    kShed,
+    kRejected,
+    kDispatches,
+    kScaleUps,
+    kScaleDowns,
+    kCount
+  };
+  /// Counts one `event`: its Tenant and/or Model field (the other
+  /// pointer may be null) and the "fleet.*" trace counter move
+  /// together. mu_ held.
+  void count_locked(Event event, Tenant* tenant, Model* model);
+
   void dispatcher_loop();
   void watcher_loop(int model_index);
   /// Next tenant to serve under the active policy, or -1 when every

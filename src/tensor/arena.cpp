@@ -1,9 +1,13 @@
 #include "tensor/arena.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <mutex>
+
+#include <sys/mman.h>
 
 #include "runtime/trace.hpp"
 #include "util/error.hpp"
@@ -18,7 +22,26 @@ std::int64_t align_up(std::int64_t bytes) {
   return (bytes + kAlign - 1) / kAlign * kAlign;
 }
 
+constexpr const char* kEventNames[] = {
+    "tensor.allocs",      "tensor.bytes",        "tensor.arena_allocs",
+    "tensor.arena_bytes", "tensor.arena_spills", "plan.replays"};
+constexpr auto kEventCount = static_cast<std::size_t>(Event::kCount);
+
+std::array<std::atomic<std::int64_t>, kEventCount> event_totals{};
+
 }  // namespace
+
+void count(Event event, std::int64_t n) {
+  static_assert(std::size(kEventNames) == kEventCount);
+  const auto e = static_cast<std::size_t>(event);
+  event_totals[e].fetch_add(n, std::memory_order_relaxed);
+  runtime::trace::counter_add(kEventNames[e], n);
+}
+
+std::int64_t total(Event event) {
+  return event_totals[static_cast<std::size_t>(event)].load(
+      std::memory_order_relaxed);
+}
 
 // ---------------------------------------------------------------------------
 // Measurement
@@ -174,9 +197,19 @@ std::int64_t pack_slots(std::vector<Slot>& slots) {
 Arena::Arena(const Measurement& measured)
     : slots_(measured.slots()), capacity_(measured.arena_bytes()) {
   DLB_CHECK(measured.sealed(), "arena built from an unsealed measurement");
-  const auto floats =
-      static_cast<std::size_t>(capacity_) / sizeof(float);
-  if (floats > 0) block_ = std::shared_ptr<float[]>(new float[floats]);
+  // The block is mapped on its own, not taken from the malloc heap: a
+  // plan arena is one long-lived block of tens of MB, and inside the
+  // heap (where glibc's dynamic mmap threshold puts it once the first
+  // plan's block is freed) whether it fits a hole or extends the heap
+  // depends on every allocation before it, which moved peak RSS by
+  // ~12 MiB between allocation orders of the same step.
+  const auto bytes = static_cast<std::size_t>(capacity_);
+  if (bytes == 0) return;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  DLB_CHECK(p != MAP_FAILED, "cannot map a " << bytes << "-byte plan arena");
+  block_ = std::shared_ptr<float[]>(
+      static_cast<float*>(p), [bytes](float* q) { munmap(q, bytes); });
 }
 
 // ---------------------------------------------------------------------------
@@ -241,8 +274,8 @@ std::shared_ptr<float[]> scope_alloc(std::size_t floats, bool zero) {
     slot.zeroed = zero;
     m.slots_.push_back(slot);
     float* raw = zero ? new float[floats]() : new float[floats];
-    runtime::trace::counter_add("tensor.allocs", 1);
-    runtime::trace::counter_add("tensor.bytes", bytes);
+    count(Event::kHeapAllocs);
+    count(Event::kHeapBytes, bytes);
     return std::shared_ptr<float[]>(raw,
                                     MeasuredDeleter{t.measure_state, id});
   }
@@ -255,14 +288,14 @@ std::shared_ptr<float[]> scope_alloc(std::size_t floats, bool zero) {
                  static_cast<std::size_t>(a.slots_[k].offset) / sizeof(float);
       if (zero && floats > 0) std::memset(p, 0, floats * sizeof(float));
       ++t.replay_served;
-      runtime::trace::counter_add("tensor.arena_allocs", 1);
-      runtime::trace::counter_add("tensor.arena_bytes", bytes);
+      count(Event::kArenaAllocs);
+      count(Event::kArenaBytes, bytes);
       return std::shared_ptr<float[]>(a.block_, p);
     }
     // Trace divergence: spill to the heap (caller allocates + counts)
     // and let the planner re-measure.
     t.replay_spilled = true;
-    runtime::trace::counter_add("tensor.arena_spills", 1);
+    count(Event::kArenaSpills);
     return nullptr;
   }
 

@@ -46,10 +46,13 @@
 // worker-side allocations (there are none on the tensor hot path; see
 // the ThreadScratch note below) fall through to the heap untouched.
 //
-// Trace counters (runtime/trace): tensor.arena_allocs /
-// tensor.arena_bytes count replay hits; tensor.arena_spills counts
-// replay misses. Heap allocations keep their existing tensor.allocs /
-// tensor.bytes meaning on every path.
+// Counters (count() below): tensor.arena_allocs / tensor.arena_bytes
+// count replay hits; tensor.arena_spills counts replay misses; heap
+// allocations count as tensor.allocs / tensor.bytes on every path;
+// plan.replays counts replayed steps (nn/plan). Each is bumped at one
+// site, into a process-wide total and the trace counter of the same
+// name, so the zero-allocation claim holds checkably whether or not
+// tracing is compiled in.
 
 #include <cstdint>
 #include <limits>
@@ -61,6 +64,24 @@ namespace dlbench::tensor::arena {
 namespace detail {
 std::shared_ptr<float[]> scope_alloc(std::size_t floats, bool zero);
 }  // namespace detail
+
+/// Counted buffer events, in the order of the name table in arena.cpp.
+enum class Event {
+  kHeapAllocs,   // tensor.allocs
+  kHeapBytes,    // tensor.bytes
+  kArenaAllocs,  // tensor.arena_allocs
+  kArenaBytes,   // tensor.arena_bytes
+  kArenaSpills,  // tensor.arena_spills
+  kPlanReplays,  // plan.replays
+  kCount
+};
+
+/// Counts `n` occurrences of `event` from any thread: the process-wide
+/// total and the trace counter move together.
+void count(Event event, std::int64_t n = 1);
+
+/// Process-wide total of `event` since start-up.
+std::int64_t total(Event event);
 
 /// Sentinel death_seq for allocations still live when the measured
 /// step ended; they are treated as live-to-end and never reused

@@ -283,16 +283,6 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   gemm_macro(pa, pb, c, n, m, k, n, epilogue, bias, dev);
 }
 
-void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
-                      std::int64_t b_cs, float* c, std::int64_t m,
-                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const Device& dev) {
-  check_dims(m, k, n);
-  float* pb = scratch_b(k, n);
-  pack_b_panels(b, b_rs, b_cs, k, n, pb, dev);
-  gemm_macro(a_panels, pb, c, n, m, k, n, epilogue, bias, dev);
-}
-
 void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                       const float* b_panels, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,

@@ -70,15 +70,6 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  GemmEpilogue epilogue, const float* bias,
                  const runtime::Device& dev);
 
-/// gemm_packed with A already packed by pack_a_panels (`a_panels` holds
-/// gemm_row_panels(m) * k * kGemmMR floats); only B is packed per call.
-/// For an operand reused across calls, e.g. a conv weight shared by
-/// every sample of a batch. Bitwise identical to gemm_packed.
-void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
-                      std::int64_t b_cs, float* c, std::int64_t m,
-                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const runtime::Device& dev);
-
 /// gemm_packed with B already packed by pack_b_panels (`b_panels` holds
 /// gemm_col_panels(n) * k * kGemmNR floats); only A is packed per call.
 /// For immutable weights packed once, e.g. FrozenModel's fc layers.
@@ -91,8 +82,9 @@ void gemm_prepacked_b(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 /// Both operands already packed (pack_a_panels / pack_b_panels layouts),
 /// C written with row stride `ldc` >= n, so a caller can run one block
 /// of a larger C, e.g. the dW tiles a conv backward worker owns, one K
-/// block per sample. Packs nothing and touches no scratch; bitwise
-/// identical to gemm_packed over the same operands.
+/// block per sample. Every conv GEMM runs here (conv.cpp). Packs nothing
+/// and touches no scratch; bitwise identical to gemm_packed over the
+/// same operands.
 void gemm_prepacked(const float* a_panels, const float* b_panels, float* c,
                     std::int64_t ldc, std::int64_t m, std::int64_t k,
                     std::int64_t n, GemmEpilogue epilogue, const float* bias,

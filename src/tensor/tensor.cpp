@@ -5,7 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "runtime/trace.hpp"
 #include "tensor/arena.hpp"
 #include "util/error.hpp"
 
@@ -16,17 +15,17 @@ namespace {
 // Every tensor buffer is obtained here. When a step-scoped arena is
 // active on this thread (nn/plan.hpp) the buffer comes from — or is
 // measured for — the plan arena; otherwise it is a plain heap
-// allocation counted by the tensor.allocs / tensor.bytes trace
-// counters. The zero-allocation claim of the execution-plan compiler
-// is asserted against exactly these counters (DESIGN.md §15).
+// allocation counted as tensor.allocs / tensor.bytes (arena::count).
+// The zero-allocation claim of the execution-plan compiler is asserted
+// against exactly these counts (DESIGN.md §15).
 std::shared_ptr<float[]> alloc_floats(std::size_t n, bool zero) {
   if (arena::detail::scope_active()) {
     if (auto p = arena::detail::scope_alloc(n, zero)) return p;
   }
   auto p = std::shared_ptr<float[]>(zero ? new float[n]() : new float[n]);
-  runtime::trace::counter_add("tensor.allocs", 1);
-  runtime::trace::counter_add("tensor.bytes",
-                              static_cast<std::int64_t>(n * sizeof(float)));
+  arena::count(arena::Event::kHeapAllocs);
+  arena::count(arena::Event::kHeapBytes,
+               static_cast<std::int64_t>(n * sizeof(float)));
   return p;
 }
 

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "runtime/device.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/gemm_kernel.hpp"

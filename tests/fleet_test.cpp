@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <future>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "frameworks/predictor.hpp"
 #include "nn/frozen.hpp"
+#include "runtime/trace.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "tensor/tensor.hpp"
@@ -370,6 +372,78 @@ TEST(FleetAutoscaleTest, ScalesUpUnderBacklogAndDownOnlyAfterHysteresis) {
   // Scaling never dropped anything.
   for (auto& fut : futures) EXPECT_EQ(fut.get().status, RequestStatus::kOk);
   fleet.stop();
+}
+
+// ---- trace counters -----------------------------------------------------
+
+// Each counted fleet event moves its stats field and its "fleet.*"
+// trace counter at one site, so the two agree on every kind: sheds,
+// queue rejections, dispatches and both scale directions.
+TEST(FleetTrace, FleetCountersEqualFleetStats) {
+  if (!dlbench::runtime::trace::compiled())
+    GTEST_SKIP() << "tracing compiled out";
+  FleetOptions options = fast_options();
+  options.global_queue_budget = 16;  // bronze sheds at a backlog of 8
+  options.bronze_watermark = 0.5;
+  options.tenant_queue_capacity = 6;
+  options.autoscale = true;
+  options.autoscale_every = 1;
+  options.scale_up_backlog = 4.0;
+  options.scale_down_backlog = 0.9;
+  options.hysteresis_evals = 1;
+  options.core_budget = 2;
+  dlbench::runtime::trace::TraceScope trace;
+  FleetStats stats;
+  {
+    FleetManager fleet(options);
+    auto model = fast_model("m");
+    model.min_replicas = 1;
+    model.max_replicas = 2;
+    fleet.register_model(std::move(model), mnist_model(FrameworkKind::kCaffe));
+    fleet.register_tenant(tenant("bronze", "m", SloClass::kBronze));
+    fleet.register_tenant(tenant("gold", "m", SloClass::kGold));
+    fleet.start(/*paused=*/true);
+    const auto sample = Tensor::zeros(mnist_shape());
+    std::vector<std::future<Prediction>> futures;
+    // 6 bronze admitted, 2 rejected (queue full), 4 gold admitted, then
+    // 1 bronze shed (backlog 10 >= 8).
+    for (int i = 0; i < 8; ++i) futures.push_back(fleet.submit("bronze", sample));
+    for (int i = 0; i < 4; ++i) futures.push_back(fleet.submit("gold", sample));
+    futures.push_back(fleet.submit("bronze", sample));
+    fleet.drain();
+    for (auto& f : futures) f.wait();
+    stats = fleet.stats();
+    fleet.stop();
+  }
+  std::map<std::string, std::int64_t> expected = {
+      {"fleet.submitted", 0}, {"fleet.shed", 0},      {"fleet.rejected", 0},
+      {"fleet.dispatches", 0}, {"fleet.scale_ups", 0}, {"fleet.scale_downs", 0}};
+  std::int64_t model_dispatches = 0;
+  for (const auto& t : stats.tenants) {
+    expected["fleet.submitted"] += t.submitted;
+    expected["fleet.shed"] += t.shed;
+    expected["fleet.rejected"] += t.rejected;
+    expected["fleet.dispatches"] += t.dispatched;
+  }
+  for (const auto& m : stats.models) {
+    model_dispatches += m.dispatched;
+    expected["fleet.scale_ups"] += m.scale_ups;
+    expected["fleet.scale_downs"] += m.scale_downs;
+  }
+  EXPECT_EQ(model_dispatches, expected["fleet.dispatches"]);
+  for (const auto& [name, value] : expected)
+    EXPECT_GT(value, 0) << name << " never happened: the test lost coverage";
+
+  // fleet.queued and fleet.replicas are gauges, not event counts.
+  std::map<std::string, std::int64_t> traced;
+  for (const auto& c : trace.report().counters)
+    if (c.name.rfind("fleet.", 0) == 0 && c.name != "fleet.queued" &&
+        c.name != "fleet.replicas")
+      traced[c.name] = c.value;
+  for (const auto& [name, value] : traced)
+    EXPECT_EQ(expected.count(name), 1u) << "unmapped counter " << name;
+  for (const auto& [name, value] : expected)
+    EXPECT_EQ(traced[name], value) << name;
 }
 
 TEST(FleetAutoscaleTest, RespectsGlobalCoreBudgetAcrossModels) {

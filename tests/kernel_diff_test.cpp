@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "nn/conv_direct.hpp"
 #include "nn/layers.hpp"
 #include "runtime/device.hpp"
@@ -396,6 +397,176 @@ TEST(KernelDiffTest, Im2colCol2imRowRunsMatchPerElementOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// The conv lowering (conv.cpp) writes GEMM panels straight from a padded
+// image and folds dx back block by block. Its oracle is the explicit
+// lowering: im2col columns packed by pack_b_panels, gemm_packed per
+// sample, and a per-element col2im. Every output must match bit for bit.
+// ---------------------------------------------------------------------------
+
+std::string geom_name(const ConvGeom& g) {
+  return "c" + std::to_string(g.in_c) + " hw" + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " oc" + std::to_string(g.out_c) + " k" +
+         std::to_string(g.kernel) + " s" + std::to_string(g.stride) + " p" +
+         std::to_string(g.pad);
+}
+
+// Hand-picked edges (in_c = 1, out_h*out_w below, at and off a multiple
+// of 16, kernels wider than the input, a kernel wider than one 8-float
+// run) plus random ones: stride 1-2, pad 0-2.
+std::vector<ConvGeom> lowering_geoms(util::Rng& rng, std::size_t count) {
+  std::vector<ConvGeom> geoms = {
+      {1, 4, 4, 3, 3, 1, 1},    {1, 3, 3, 2, 5, 1, 2},
+      {3, 16, 16, 7, 5, 1, 2},  {2, 14, 14, 9, 5, 1, 2},
+      {1, 3, 2, 4, 5, 2, 2},    {2, 12, 12, 5, 9, 1, 4},
+      {3, 9, 7, 13, 3, 2, 0},   {4, 6, 6, 8, 1, 1, 0}};
+  while (geoms.size() < count) {
+    ConvGeom g;
+    g.in_c = 1 + static_cast<std::int64_t>(rng.uniform_index(4));
+    g.in_h = 1 + static_cast<std::int64_t>(rng.uniform_index(18));
+    g.in_w = 1 + static_cast<std::int64_t>(rng.uniform_index(18));
+    g.out_c = 1 + static_cast<std::int64_t>(rng.uniform_index(14));
+    g.kernel = 1 + static_cast<std::int64_t>(rng.uniform_index(6));
+    g.stride = 1 + static_cast<std::int64_t>(rng.uniform_index(2));
+    g.pad = static_cast<std::int64_t>(rng.uniform_index(3));
+    if (g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel)
+      geoms.push_back(g);
+  }
+  return geoms;
+}
+
+Tensor flat(const std::vector<float>& v, std::int64_t count) {
+  return Tensor(Shape({count}),
+                std::span<const float>(v.data(), static_cast<std::size_t>(count)));
+}
+
+TEST(KernelDiffTest, PanelWritersMatchIm2colPackedPanels) {
+  util::Rng rng(2121);
+  const Device serial = Device::cpu();
+  for (const ConvGeom& g : lowering_geoms(rng, 60)) {
+    const std::string what = geom_name(g);
+    const std::int64_t ohw = g.out_h() * g.out_w(), patch = g.patch_size();
+    const Tensor image = Tensor::randn(Shape({g.in_c, g.in_h, g.in_w}), rng);
+    std::vector<float> columns(static_cast<std::size_t>(patch * ohw));
+    im2col(image.raw(), g, columns.data());
+    std::vector<float> padded(
+        static_cast<std::size_t>(detail::padded_image_floats(g)), -1.f);
+    detail::pad_image(image.raw(), g, padded.data());
+
+    // Forward: positions on the lanes, K = patch.
+    const std::int64_t fwd_floats = gemm_col_panels(ohw) * kGemmNR * patch;
+    std::vector<float> want(static_cast<std::size_t>(fwd_floats));
+    std::vector<float> got(want.size(), -1.f);
+    pack_b_panels(columns.data(), ohw, 1, patch, ohw, want.data(), serial);
+    detail::fwd_panels(padded.data(), g, 0, gemm_col_panels(ohw), got.data());
+    expect_bitwise_equal(flat(got, fwd_floats), flat(want, fwd_floats),
+                         what + " fwd_panels");
+    // A sub-range of panels, as a worker of the tiny-batch path writes it.
+    if (gemm_col_panels(ohw) > 1) {
+      std::fill(got.begin(), got.end(), -1.f);
+      detail::fwd_panels(padded.data(), g, 1, gemm_col_panels(ohw),
+                         got.data() + patch * kGemmNR);
+      expect_bitwise_equal(flat(got, fwd_floats).rows(patch * kGemmNR,
+                                                      fwd_floats - patch * kGemmNR),
+                           flat(want, fwd_floats).rows(patch * kGemmNR,
+                                                       fwd_floats - patch * kGemmNR),
+                           what + " fwd_panels from panel 1");
+    }
+
+    // dW: patch rows on the lanes, K = ohw; the whole patch and a block
+    // starting at the second panel, as a dW grid column block.
+    for (const std::int64_t p0 : {std::int64_t{0}, kGemmNR}) {
+      if (p0 >= patch) continue;
+      const std::int64_t p1 = std::min(patch, p0 + 3 * kGemmNR);
+      const std::int64_t dw_floats = gemm_col_panels(p1 - p0) * kGemmNR * ohw;
+      std::vector<float> want_dw(static_cast<std::size_t>(dw_floats));
+      std::vector<float> got_dw(
+          static_cast<std::size_t>(detail::dw_panel_floats(g, p0, p1)), -1.f);
+      pack_b_panels(columns.data() + p0 * ohw, 1, ohw, ohw, p1 - p0,
+                    want_dw.data(), serial);
+      detail::dw_panels(padded.data(), g, p0, p1, got_dw.data());
+      expect_bitwise_equal(flat(got_dw, dw_floats), flat(want_dw, dw_floats),
+                           what + " dw_panels from " + std::to_string(p0));
+    }
+  }
+}
+
+// The explicit lowering of one conv layer, sample by sample.
+struct ConvReference {
+  Tensor y, y_relu, dx, dweight, dbias;
+};
+
+ConvReference reference_conv(const Tensor& x, const Tensor& w,
+                             const Tensor& b, const Tensor& dy,
+                             const ConvGeom& g) {
+  const Device serial = Device::cpu();
+  const std::int64_t n = x.dim(0), ohw = g.out_h() * g.out_w();
+  const std::int64_t patch = g.patch_size();
+  const std::int64_t in_sz = g.in_c * g.in_h * g.in_w, out_sz = g.out_c * ohw;
+  ConvReference r{Tensor(dy.shape()), Tensor(dy.shape()), Tensor(x.shape()),
+                  Tensor(w.shape()), Tensor(b.shape())};
+  std::vector<float> columns(static_cast<std::size_t>(patch * ohw));
+  std::vector<float> dcolumns(columns.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* dyo = dy.raw() + i * out_sz;
+    im2col(x.raw() + i * in_sz, g, columns.data());
+    gemm_packed(w.raw(), patch, 1, columns.data(), ohw, 1,
+                r.y.raw() + i * out_sz, g.out_c, patch, ohw,
+                GemmEpilogue::kBiasRowInit, b.raw(), serial);
+    gemm_packed(w.raw(), patch, 1, columns.data(), ohw, 1,
+                r.y_relu.raw() + i * out_sz, g.out_c, patch, ohw,
+                GemmEpilogue::kBiasRowRelu, b.raw(), serial);
+    // dW continues one fma chain over (sample, position); db one add
+    // chain per channel in the same order.
+    gemm_packed(dyo, ohw, 1, columns.data(), 1, ohw, r.dweight.raw(), g.out_c,
+                ohw, patch, GemmEpilogue::kAccumulate, nullptr, serial);
+    for (std::int64_t oc = 0; oc < g.out_c; ++oc)
+      for (std::int64_t j = 0; j < ohw; ++j)
+        r.dbias.raw()[oc] += dyo[oc * ohw + j];
+    // dcolumns = Wᵀ · dy_i, folded per element.
+    gemm_packed(w.raw(), 1, patch, dyo, ohw, 1, dcolumns.data(), patch,
+                g.out_c, ohw, GemmEpilogue::kNone, nullptr, serial);
+    naive_col2im(dcolumns.data(), g, r.dx.raw() + i * in_sz);
+  }
+  return r;
+}
+
+TEST(KernelDiffTest, ConvLoweringBitwiseMatchesExplicitIm2col) {
+  util::Rng rng(2323);
+  const Device devices[] = {Device::cpu(), Device::parallel(2),
+                            Device::parallel(4)};
+  for (const ConvGeom& g : lowering_geoms(rng, 24)) {
+    for (const std::int64_t n : {1, 3, 25}) {
+      const std::string what = geom_name(g) + " n" + std::to_string(n);
+      const Tensor x = Tensor::randn(Shape({n, g.in_c, g.in_h, g.in_w}), rng);
+      const Tensor w = Tensor::randn(Shape({g.out_c, g.patch_size()}), rng);
+      const Tensor b = Tensor::randn(Shape({g.out_c}), rng);
+      const Tensor dy =
+          Tensor::randn(Shape({n, g.out_c, g.out_h(), g.out_w()}), rng);
+      const ConvReference want = reference_conv(x, w, b, dy, g);
+      for (const Device& dev : devices) {
+        const std::string on = what + " on " + std::to_string(dev.workers()) +
+                               (dev.is_parallel() ? " workers" : " serial");
+        expect_bitwise_equal(conv2d_forward(x, w, b, g, dev), want.y,
+                             on + " forward");
+        expect_bitwise_equal(conv2d_forward(x, w, b, g, dev, true),
+                             want.y_relu, on + " forward+relu");
+        const ConvGrads all = conv2d_backward(x, w, dy, g, dev);
+        expect_bitwise_equal(all.dx, want.dx, on + " dx");
+        expect_bitwise_equal(all.dweight, want.dweight, on + " dweight");
+        expect_bitwise_equal(all.dbias, want.dbias, on + " dbias");
+        const ConvGrads params = conv2d_backward_params(x, w, dy, g, dev);
+        EXPECT_TRUE(params.dx.empty()) << on;
+        expect_bitwise_equal(params.dweight, want.dweight,
+                             on + " params dweight");
+        expect_bitwise_equal(params.dbias, want.dbias, on + " params dbias");
+        expect_bitwise_equal(conv2d_backward_dx(w, dy, g, dev), want.dx,
+                             on + " backward_dx");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Packed-GEMM layer (gemm_kernel.hpp): parity with the double-precision
 // oracle at the blocking edges, direct driver coverage of strides and
 // epilogues, fused-epilogue bitwise equivalence, and determinism at the
@@ -547,15 +718,15 @@ TEST(KernelDiffTest, PrepackedEntryPointsBitwiseMatchGemmPacked) {
             std::to_string(static_cast<int>(ep)) +
             " threads=" + std::to_string(threads);
         Tensor want = Tensor::uninit(Shape({d.m, d.n}));
-        Tensor got_a = Tensor::uninit(Shape({d.m, d.n}));
+        Tensor got_ab = Tensor::uninit(Shape({d.m, d.n}));
         Tensor got_b = Tensor::uninit(Shape({d.m, d.n}));
         gemm_packed(a.raw(), d.k, 1, b.raw(), d.n, 1, want.raw(), d.m, d.k,
                     d.n, ep, bias, dev);
-        gemm_prepacked_a(pa.data(), b.raw(), d.n, 1, got_a.raw(), d.m, d.k,
-                         d.n, ep, bias, dev);
+        gemm_prepacked(pa.data(), pb.data(), got_ab.raw(), d.n, d.m, d.k,
+                       d.n, ep, bias, dev);
         gemm_prepacked_b(a.raw(), d.k, 1, pb.data(), got_b.raw(), d.m, d.k,
                          d.n, ep, bias, dev);
-        expect_bitwise_equal(got_a, want, what + " prepacked A");
+        expect_bitwise_equal(got_ab, want, what + " prepacked A and B");
         expect_bitwise_equal(got_b, want, what + " prepacked B");
       }
     }

@@ -19,7 +19,6 @@
 #include "frameworks/predictor.hpp"
 #include "frameworks/registry.hpp"
 #include "nn/frozen.hpp"
-#include "runtime/trace.hpp"
 #include "serve/server.hpp"
 #include "tensor/arena.hpp"
 #include "util/rng.hpp"
@@ -40,13 +39,26 @@ using dlbench::nn::PlanOptions;
 using dlbench::nn::StepPlanner;
 using dlbench::runtime::Device;
 using dlbench::tensor::Tensor;
+using dlbench::tensor::arena::Event;
 
-std::int64_t counter(const dlbench::runtime::trace::TraceReport& report,
-                     const std::string& name) {
-  for (const auto& c : report.counters)
-    if (c.name == name) return c.value;
-  return 0;
-}
+// Buffer events counted since construction, read from the always-on
+// totals (tensor/arena.hpp), so the checks hold with tracing compiled
+// out.
+class EventsSince {
+ public:
+  EventsSince() {
+    for (std::size_t e = 0; e < kEvents; ++e)
+      start_[e] = dlbench::tensor::arena::total(Event(e));
+  }
+  std::int64_t operator()(Event e) const {
+    return dlbench::tensor::arena::total(e) -
+           start_[static_cast<std::size_t>(e)];
+  }
+
+ private:
+  static constexpr auto kEvents = static_cast<std::size_t>(Event::kCount);
+  std::int64_t start_[kEvents] = {};
+};
 
 // ---- pack_slots: lifetime analysis + aliasing rules --------------------
 
@@ -362,15 +374,13 @@ TEST(PlanZeroAlloc, SteadyStateTrainStepsAllocateNoTensors) {
   for (std::int64_t s = 0; s < 4; ++s) one_step(s);  // warmup+measure+replay
   ASSERT_NE(planner.plan(x.dim(0)), nullptr);
 
-  // From here every step replays the plan: zero tensor heap traffic —
-  // the ISSUE's acceptance assertion, via the runtime/trace counters.
-  dlbench::runtime::trace::TraceScope scope;
+  // From here every step replays the plan: zero tensor heap traffic.
+  const EventsSince events;
   for (std::int64_t s = 4; s < 8; ++s) one_step(s);
-  const auto report = scope.report();
-  EXPECT_EQ(counter(report, "tensor.allocs"), 0);
-  EXPECT_GT(counter(report, "tensor.arena_allocs"), 0);
-  EXPECT_EQ(counter(report, "tensor.arena_spills"), 0);
-  EXPECT_EQ(counter(report, "plan.replays"), 4);
+  EXPECT_EQ(events(Event::kHeapAllocs), 0);
+  EXPECT_GT(events(Event::kArenaAllocs), 0);
+  EXPECT_EQ(events(Event::kArenaSpills), 0);
+  EXPECT_EQ(events(Event::kPlanReplays), 4);
   EXPECT_EQ(planner.spilled_steps(), 0);
 }
 
@@ -389,7 +399,7 @@ TEST(PlanZeroAlloc, ServeSteadyStateReplaysWithoutSpills) {
   dlbench::util::Rng rng(21);
   const Tensor sample = Tensor::randn(opts.sample_shape, rng);
 
-  dlbench::runtime::trace::TraceScope scope;
+  const EventsSince events;
   std::int64_t arena_bytes = 0;
   {
     dlbench::serve::ModelServer server(model, opts);
@@ -400,11 +410,10 @@ TEST(PlanZeroAlloc, ServeSteadyStateReplaysWithoutSpills) {
     arena_bytes = server.stats().plan_arena_bytes;
     server.shutdown(true);
   }
-  const auto report = scope.report();
   EXPECT_GT(arena_bytes, 0);  // the per-replica memory the report shows
-  EXPECT_EQ(counter(report, "tensor.arena_spills"), 0);
-  EXPECT_GT(counter(report, "plan.replays"), 0);
-  EXPECT_GT(counter(report, "tensor.arena_allocs"), 0);
+  EXPECT_EQ(events(Event::kArenaSpills), 0);
+  EXPECT_GT(events(Event::kPlanReplays), 0);
+  EXPECT_GT(events(Event::kArenaAllocs), 0);
 }
 
 // ---- frozen-graph fusion -------------------------------------------------
