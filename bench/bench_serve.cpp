@@ -25,7 +25,8 @@
 //      FIFO/no-admission ablation (gold p99 stays within a bounded
 //      factor of isolated while FIFO head-of-line blocking collapses
 //      it), plus a drained decision-log replay demonstrating the fleet
-//      determinism contract (DESIGN.md §14).
+//      determinism contract (DESIGN.md §14). The three fleet cells run
+//      interleaved for three rounds and the checks compare medians.
 //
 // Flags: session flags plus --quick (shorter cells) and
 // --duration=SECONDS per cell.
@@ -327,8 +328,11 @@ int main(int argc, char** argv) {
   //                   under the full overload mix;
   //   fifo_noadm    — the ablation: one arrival-order queue, no
   //                   watermark shedding (head-of-line blocking).
+  // As in §2 the cells run interleaved for kRounds rounds; each keeps
+  // its median-gold-p99 round for the session and every check compares
+  // medians over the rounds.
   std::cout << "\n--- multi-tenant fleet (SLO classes under aggregate "
-               "overload) ---\n";
+               "overload, median of 3 interleaved rounds) ---\n";
   namespace serve = dlbench::serve;
   // Quick cells are too short for stable per-tenant tails; floor the
   // fleet trace length instead of inheriting --quick verbatim.
@@ -412,6 +416,11 @@ int main(int argc, char** argv) {
   const auto mixed_trace =
       serve::make_mixed_trace(mixed_streams, fleet_duration_s, 4242, 10000);
 
+  // One fleet cell: its stats plus the TenantRecords it would report.
+  struct FleetCell {
+    serve::FleetStats stats;
+    std::vector<TenantRecord> records;
+  };
   const auto run_fleet_cell = [&](const std::string& scenario,
                                   serve::FleetPolicy policy,
                                   bool slo_admission, bool isolated) {
@@ -423,7 +432,8 @@ int main(int argc, char** argv) {
     const serve::FleetLoadResult load =
         serve::run_fleet_trace(*fleet, streams, trace, cell_inputs);
     fleet->stop();
-    const serve::FleetStats fs = fleet->stats();
+    FleetCell cell{fleet->stats(), {}};
+    const serve::FleetStats& fs = cell.stats;
     for (const auto& t : fs.tenants) {
       TenantRecord r;
       r.scenario = scenario;
@@ -457,26 +467,57 @@ int main(int argc, char** argv) {
               m.replicas > 0 ? m.plan_arena_bytes / m.replicas
                              : m.plan_arena_bytes;
         }
-      session.add(r);
+      cell.records.push_back(std::move(r));
     }
     std::cout << scenario << ": decisions " << fs.decisions << ", gold p99 "
               << fs.tenants[0].latency.percentile(99) * 1e3 << " ms\n";
-    return fs;
+    return cell;
   };
 
-  const serve::FleetStats iso = run_fleet_cell(
-      "gold_isolated", serve::FleetPolicy::kWeightedFair, true, true);
-  const serve::FleetStats drr =
-      run_fleet_cell("drr_slo", serve::FleetPolicy::kWeightedFair, true, false);
-  const serve::FleetStats fifo =
-      run_fleet_cell("fifo_noadm", serve::FleetPolicy::kFifo, false, false);
+  std::vector<FleetCell> iso_rounds;
+  std::vector<FleetCell> drr_rounds;
+  std::vector<FleetCell> fifo_rounds;
+  for (int round = 0; round < kRounds; ++round) {
+    iso_rounds.push_back(run_fleet_cell(
+        "gold_isolated", serve::FleetPolicy::kWeightedFair, true, true));
+    drr_rounds.push_back(run_fleet_cell(
+        "drr_slo", serve::FleetPolicy::kWeightedFair, true, false));
+    fifo_rounds.push_back(
+        run_fleet_cell("fifo_noadm", serve::FleetPolicy::kFifo, false, false));
+  }
+  // Median over the rounds of one quantity of a cell.
+  const auto median = [](const std::vector<FleetCell>& rounds,
+                         const auto& quantity) {
+    std::vector<double> values;
+    for (const FleetCell& cell : rounds)
+      values.push_back(static_cast<double>(quantity(cell.stats)));
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  const auto gold_p99 = [](const serve::FleetStats& fs) {
+    return fs.tenants[0].latency.percentile(99);
+  };
+  // The session keeps each scenario's median-gold-p99 round.
+  for (auto* rounds : {&iso_rounds, &drr_rounds, &fifo_rounds}) {
+    std::sort(rounds->begin(), rounds->end(),
+              [&](const FleetCell& a, const FleetCell& b) {
+                return gold_p99(a.stats) < gold_p99(b.stats);
+              });
+    for (const TenantRecord& r : (*rounds)[kRounds / 2].records)
+      session.add(r);
+  }
 
-  const double iso_p99 = iso.tenants[0].latency.percentile(99);
-  const double drr_p99 = drr.tenants[0].latency.percentile(99);
-  const double fifo_p99 = fifo.tenants[0].latency.percentile(99);
+  const double iso_p99 = median(iso_rounds, gold_p99);
+  const double drr_p99 = median(drr_rounds, gold_p99);
+  const double fifo_p99 = median(fifo_rounds, gold_p99);
   dlbench::bench::shape_check(
       "SLO admission sheds bronze under overload and never sheds gold",
-      drr.tenants[2].shed > 0 && drr.tenants[0].shed == 0);
+      median(drr_rounds,
+             [](const serve::FleetStats& fs) { return fs.tenants[2].shed; }) >
+              0 &&
+          median(drr_rounds, [](const serve::FleetStats& fs) {
+            return fs.tenants[0].shed;
+          }) == 0);
   // Gold shares replicas with the flood, so some inflation over the
   // isolated baseline is expected — the claim is a bounded factor, not
   // isolation-grade latency (the absolute bound catches a vanishingly
@@ -489,7 +530,9 @@ int main(int argc, char** argv) {
       fifo_p99 > 3.0 * drr_p99);
   dlbench::bench::shape_check(
       "autoscaler staffs the flooded model up under sustained backlog",
-      drr.models[0].scale_ups >= 1);
+      median(drr_rounds, [](const serve::FleetStats& fs) {
+        return fs.models[0].scale_ups;
+      }) >= 1);
 
   // Determinism contract (DESIGN.md §14): pause -> preload -> drain the
   // same fixed-length trace twice; the decision logs must be

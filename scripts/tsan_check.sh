@@ -10,10 +10,11 @@
 # serving chaos suite (label `chaos` — crash requeues, stall
 # abandonment, hedged first-wins claims and retry heaps are exactly the
 # cross-thread hand-offs TSan exists for), and the multi-tenant fleet
-# suite (label `fleet` — dispatcher/watcher/autoscaler interplay over
-# live replica pools), and the execution-plan suite (label `plan` —
-# arena buffers freed on whichever thread drops the last aliasing
-# handle while the owner thread replays new allocations), and the
+# suite (label `fleet` — dispatcher, server-thread completions and
+# autoscaler interplay over live replica pools), and the execution-plan
+# suite (label `plan` — arena buffers freed on whichever thread drops
+# the last aliasing handle while the owner thread replays new
+# allocations), and the
 # data-parallel training suite (label `ddp` — K replicas race a shard
 # queue and fill per-shard gradient slots; its bitwise-identity tests
 # are exactly the claims a data race would silently falsify). ASan/UBSan

@@ -17,15 +17,9 @@ namespace {
 constexpr std::size_t kMaxSignatures = 8;
 }  // namespace
 
-PlanOptions PlanOptions::from_env() { return from_env(PlanOptions{}); }
-
-PlanOptions PlanOptions::from_env(PlanOptions fallback) {
-  PlanOptions opt = fallback;
-  opt.enabled = env_i64("DLB_PLAN", opt.enabled ? 1 : 0) != 0;
-  opt.warmup_steps = static_cast<int>(
-      env_i64("DLB_PLAN_WARMUP", opt.warmup_steps));
-  opt.arena_cap_bytes =
-      env_i64("DLB_PLAN_ARENA_CAP_MB", opt.arena_cap_bytes >> 20) << 20;
+PlanOptions PlanOptions::from_env() {
+  PlanOptions opt;
+  opt.enabled = env_i64("DLB_PLAN", 1) != 0;
   return opt;
 }
 

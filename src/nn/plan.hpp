@@ -35,9 +35,9 @@
 // loop / per serve replica thread, never shared. All methods must be
 // called from the owning thread.
 //
-// Knobs (see KNOBS.md): DLB_PLAN=0 disables planning entirely;
-// DLB_PLAN_ARENA_CAP_MB caps one signature's arena (larger plans stay
-// on the heap); DLB_PLAN_WARMUP sets the warmup step count.
+// Knob (see KNOBS.md): DLB_PLAN=0 disables planning entirely. The
+// warmup step count and the per-signature arena cap are PlanOptions
+// fields, set in code.
 
 #include <cstdint>
 #include <map>
@@ -56,10 +56,8 @@ struct PlanOptions {
   /// discarded and the signature stays on the heap.
   std::int64_t arena_cap_bytes = std::int64_t{256} << 20;
 
-  /// Reads DLB_PLAN, DLB_PLAN_WARMUP and DLB_PLAN_ARENA_CAP_MB over
-  /// `fallback` (defaults above when omitted).
+  /// The defaults above, with `enabled` read from DLB_PLAN.
   static PlanOptions from_env();
-  static PlanOptions from_env(PlanOptions fallback);
 };
 
 /// A compiled plan for one shape signature: the packed slot table plus

@@ -155,7 +155,10 @@ FaultScope::~FaultScope() {
   g_active.store(nullptr, std::memory_order_release);
 }
 
-const FaultStats& FaultScope::stats() const { return state_->stats; }
+FaultStats FaultScope::stats() const {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->stats;
+}
 
 bool enabled() { return active_state() != nullptr; }
 

@@ -173,7 +173,9 @@ class FaultScope {
   FaultScope& operator=(const FaultScope&) = delete;
   ~FaultScope();
 
-  const FaultStats& stats() const;
+  /// Snapshot of the counters; safe to poll while injection points
+  /// fire on other threads.
+  FaultStats stats() const;
 
   /// Opaque shared state; defined in fault.cpp (the injection points
   /// reach it through the module's active-scope pointer).

@@ -77,7 +77,12 @@ FleetManager::FleetManager(FleetOptions options)
             "fleet SLO watermarks must be ordered bronze <= silver <= gold");
 }
 
-FleetManager::~FleetManager() { stop(true); }
+FleetManager::~FleetManager() {
+  stop(true);
+  // Completions run on the servers' threads and touch tenants_, mu_ and
+  // the condition variables: join every server before those members go.
+  for (auto& m : models_) m->server.reset();
+}
 
 void FleetManager::register_model(FleetModelConfig config,
                                   nn::FrozenModel model) {
@@ -111,6 +116,10 @@ void FleetManager::register_tenant(FleetTenantConfig config) {
   DLB_CHECK(model_index >= 0,
             "fleet tenant targets unregistered model: " + config.model);
   Tenant tenant;
+  tenant.stats.tenant = config.name;
+  tenant.stats.model = config.model;
+  tenant.stats.slo = config.slo;
+  tenant.stats.weight = config.weight;
   tenant.config = std::move(config);
   tenant.model_index = model_index;
   tenants_.push_back(std::move(tenant));
@@ -141,16 +150,13 @@ void FleetManager::start(bool paused) {
       server_options.reject_watermark = 1 << 15;
       m->server =
           std::make_unique<ModelServer>(m->frozen, std::move(server_options));
-      m->target = m->config.min_replicas;
-      m->peak = m->target;
-      m->low = m->target;
+      m->stats.replicas = m->config.min_replicas;
+      m->stats.replicas_peak = m->stats.replicas;
+      m->stats.replicas_low = m->stats.replicas;
     }
     started_ = true;
     paused_ = paused;
   }
-  for (int i = 0; i < static_cast<int>(models_.size()); ++i)
-    models_[static_cast<std::size_t>(i)]->watcher =
-        std::thread([this, i] { watcher_loop(i); });
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -200,7 +206,7 @@ std::future<Prediction> FleetManager::submit(int tenant_index,
       promise->set_value(immediate(RequestStatus::kRejected));
       return future;
     }
-    ++tenant.admitted;
+    ++tenant.stats.admitted;
     ++queued_total_;
     runtime::trace::gauge_record("fleet.queued", queued_total_);
     tenant.queue.push_back(Queued{std::move(input), promise, now_ns()});
@@ -236,19 +242,15 @@ void FleetManager::drain() {
 void FleetManager::stop(bool drain_first) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stop_) {
-      // Never started (nothing to join) or already stopped (idempotent).
-      if (!started_) return;
-    }
+    if (!started_) return;  // nothing to stop
   }
   if (drain_first) drain();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
+    if (stop_) return;  // idempotent
     stop_ = true;
   }
   cv_work_.notify_all();
-  cv_watch_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   // Fail whatever is still queued (drain=false path), outside mu_ so
   // future continuations can't deadlock back into the fleet.
@@ -266,10 +268,10 @@ void FleetManager::stop(bool drain_first) {
   }
   for (auto& promise : orphans)
     promise->set_value(immediate(RequestStatus::kShutdown));
-  // Watchers drain their pending lists (the inner servers resolve every
-  // accepted future in bounded time), then exit on stop_ + empty.
-  for (auto& m : models_)
-    if (m->watcher.joinable()) m->watcher.join();
+  // The queues are empty, so drain() now waits out the dispatched
+  // requests only (the inner servers resolve every accepted request in
+  // bounded time).
+  drain();
   for (auto& m : models_)
     if (m->server) m->server->shutdown(true);
   cv_idle_.notify_all();
@@ -302,62 +304,55 @@ void FleetManager::dispatcher_loop() {
     ++dispatch_count_;
     log_locked(FleetDecisionKind::kDispatch, tenant.config.name,
                model.config.name, tenant.config.slo, queued_total_);
+    SubmitOptions submit_options;
+    submit_options.slo = tenant.config.slo;
     const std::int64_t dispatch_ns = now_ns();
-    std::future<Prediction> inner;
+    // The completion may run inside submit() (an inner refusal) and takes
+    // mu_, so mu_ is released across the inner submit.
+    lock.unlock();
     {
       runtime::trace::Span span("fleet.dispatch", "serve");
-      SubmitOptions submit_options;
-      submit_options.slo = tenant.config.slo;
-      inner = model.server->submit(std::move(queued.input), submit_options);
+      model.server->submit(
+          std::move(queued.input), submit_options,
+          [this, t, admit_ns = queued.admit_ns, dispatch_ns,
+           promise = std::move(queued.promise)](Prediction prediction) {
+            complete(t, admit_ns, dispatch_ns, *promise,
+                     std::move(prediction));
+          });
     }
-    model.pending.push_back(Pending{std::move(inner), std::move(queued.promise),
-                                    t, queued.admit_ns, dispatch_ns});
-    cv_watch_.notify_all();
+    lock.lock();
     if (options_.autoscale && dispatch_count_ % options_.autoscale_every == 0)
       autoscale_locked();
   }
 }
 
-void FleetManager::watcher_loop(int model_index) {
-  Model& model = *models_[static_cast<std::size_t>(model_index)];
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_watch_.wait(lock, [&] { return stop_ || !model.pending.empty(); });
-    if (model.pending.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    Pending pending = std::move(model.pending.front());
-    model.pending.pop_front();
-    lock.unlock();
-    // Block outside the lock: the inner server resolves every accepted
-    // future (its shutdown deadline bounds even pathological stalls).
-    Prediction prediction = pending.inner.get();
-    const std::int64_t resolve_ns = now_ns();
-    lock.lock();
-    Tenant& tenant = tenants_[static_cast<std::size_t>(pending.tenant)];
+void FleetManager::complete(int tenant_index, std::int64_t admit_ns,
+                            std::int64_t dispatch_ns,
+                            std::promise<Prediction>& promise,
+                            Prediction prediction) {
+  const std::int64_t resolve_ns = now_ns();
+  bool idle = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Tenant& tenant = tenants_[static_cast<std::size_t>(tenant_index)];
     if (prediction.status == RequestStatus::kOk) {
-      ++tenant.ok;
-      tenant.latency.record_s(seconds_between(pending.admit_ns, resolve_ns));
-      tenant.queue_wait.record_s(
-          seconds_between(pending.admit_ns, pending.dispatch_ns));
+      ++tenant.stats.ok;
+      tenant.stats.latency.record_s(seconds_between(admit_ns, resolve_ns));
+      tenant.stats.queue_wait.record_s(seconds_between(admit_ns, dispatch_ns));
     } else {
-      ++tenant.failed;
+      ++tenant.stats.failed;
     }
-    --model.inflight;
+    --models_[static_cast<std::size_t>(tenant.model_index)]->inflight;
     --inflight_total_;
-    const bool idle = idle_locked();
-    lock.unlock();
-    // End-to-end time as the tenant saw it: admission → resolution,
-    // with the fleet queue wait folded into the reported wait.
-    prediction.queue_wait_s +=
-        seconds_between(pending.admit_ns, pending.dispatch_ns);
-    prediction.total_s = seconds_between(pending.admit_ns, resolve_ns);
-    pending.promise->set_value(std::move(prediction));
-    cv_work_.notify_all();  // window freed
-    if (idle) cv_idle_.notify_all();
-    lock.lock();
+    idle = idle_locked();
   }
+  // End-to-end time as the tenant saw it: admission → resolution,
+  // with the fleet queue wait folded into the reported wait.
+  prediction.queue_wait_s += seconds_between(admit_ns, dispatch_ns);
+  prediction.total_s = seconds_between(admit_ns, resolve_ns);
+  promise.set_value(std::move(prediction));
+  cv_work_.notify_all();  // window freed
+  if (idle) cv_idle_.notify_all();
 }
 
 int FleetManager::pick_locked() {
@@ -409,7 +404,7 @@ int FleetManager::pick_drr_locked() {
 
 void FleetManager::autoscale_locked() {
   int total = 0;
-  for (const auto& m : models_) total += m->target;
+  for (const auto& m : models_) total += m->stats.replicas;
   for (auto& model_ptr : models_) {
     Model& m = *model_ptr;
     // Backlog-only signal, deliberately excluding in-flight work:
@@ -420,36 +415,37 @@ void FleetManager::autoscale_locked() {
     for (const auto& tenant : tenants_)
       if (&*models_[static_cast<std::size_t>(tenant.model_index)] == &m)
         backlog += static_cast<std::int64_t>(tenant.queue.size());
+    FleetModelStats& ms = m.stats;  // ms.replicas is the target
     const double per_replica =
-        static_cast<double>(backlog) / static_cast<double>(m.target);
+        static_cast<double>(backlog) / static_cast<double>(ms.replicas);
     if (per_replica >= options_.scale_up_backlog &&
-        m.target < m.config.max_replicas && total < options_.core_budget) {
-      const int from = m.target;
-      ++m.target;
+        ms.replicas < m.config.max_replicas && total < options_.core_budget) {
+      const int from = ms.replicas;
+      ++ms.replicas;
       ++total;
       count_locked(Event::kScaleUps, nullptr, &m);
       m.low_evals = 0;
-      m.peak = std::max(m.peak, m.target);
-      m.server->resize_replicas(m.target);
+      ms.replicas_peak = std::max(ms.replicas_peak, ms.replicas);
+      m.server->resize_replicas(ms.replicas);
       log_locked(FleetDecisionKind::kScaleUp, "", m.config.name,
-                 SloClass::kSilver, m.target);
-      timeline_.push_back(
-          FleetScaleEvent{decision_ordinal_ - 1, m.config.name, from, m.target});
+                 SloClass::kSilver, ms.replicas);
+      timeline_.push_back(FleetScaleEvent{decision_ordinal_ - 1, m.config.name,
+                                          from, ms.replicas});
       runtime::trace::gauge_record("fleet.replicas", total);
     } else if (per_replica <= options_.scale_down_backlog &&
-               m.target > m.config.min_replicas) {
+               ms.replicas > m.config.min_replicas) {
       if (++m.low_evals >= options_.hysteresis_evals) {
-        const int from = m.target;
-        --m.target;
+        const int from = ms.replicas;
+        --ms.replicas;
         --total;
         count_locked(Event::kScaleDowns, nullptr, &m);
         m.low_evals = 0;
-        m.low = std::min(m.low, m.target);
-        m.server->resize_replicas(m.target);
+        ms.replicas_low = std::min(ms.replicas_low, ms.replicas);
+        m.server->resize_replicas(ms.replicas);
         log_locked(FleetDecisionKind::kScaleDown, "", m.config.name,
-                   SloClass::kSilver, m.target);
+                   SloClass::kSilver, ms.replicas);
         timeline_.push_back(FleetScaleEvent{decision_ordinal_ - 1,
-                                            m.config.name, from, m.target});
+                                            m.config.name, from, ms.replicas});
         runtime::trace::gauge_record("fleet.replicas", total);
       }
     } else {
@@ -462,21 +458,22 @@ void FleetManager::autoscale_locked() {
 void FleetManager::count_locked(Event event, Tenant* tenant, Model* model) {
   struct Counted {
     const char* trace;
-    std::int64_t Tenant::*tenant_field;
-    std::int64_t Model::*model_field;
+    std::int64_t FleetTenantStats::*tenant_field;
+    std::int64_t FleetModelStats::*model_field;
   };
   static constexpr Counted kEvents[] = {
-      {"fleet.submitted", &Tenant::submitted, nullptr},
-      {"fleet.shed", &Tenant::shed, nullptr},
-      {"fleet.rejected", &Tenant::rejected, nullptr},
-      {"fleet.dispatches", &Tenant::dispatched, &Model::dispatched},
-      {"fleet.scale_ups", nullptr, &Model::scale_ups},
-      {"fleet.scale_downs", nullptr, &Model::scale_downs},
+      {"fleet.submitted", &FleetTenantStats::submitted, nullptr},
+      {"fleet.shed", &FleetTenantStats::shed, nullptr},
+      {"fleet.rejected", &FleetTenantStats::rejected, nullptr},
+      {"fleet.dispatches", &FleetTenantStats::dispatched,
+       &FleetModelStats::dispatched},
+      {"fleet.scale_ups", nullptr, &FleetModelStats::scale_ups},
+      {"fleet.scale_downs", nullptr, &FleetModelStats::scale_downs},
   };
   static_assert(std::size(kEvents) == static_cast<std::size_t>(Event::kCount));
   const Counted& counted = kEvents[static_cast<std::size_t>(event)];
-  if (counted.tenant_field != nullptr) ++(tenant->*counted.tenant_field);
-  if (counted.model_field != nullptr) ++(model->*counted.model_field);
+  if (counted.tenant_field != nullptr) ++(tenant->stats.*counted.tenant_field);
+  if (counted.model_field != nullptr) ++(model->stats.*counted.model_field);
   runtime::trace::counter_add(counted.trace, 1);
 }
 
@@ -498,35 +495,13 @@ FleetStats FleetManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FleetStats stats;
   stats.tenants.reserve(tenants_.size());
-  for (const auto& tenant : tenants_) {
-    FleetTenantStats t;
-    t.tenant = tenant.config.name;
-    t.model = tenant.config.model;
-    t.slo = tenant.config.slo;
-    t.weight = tenant.config.weight;
-    t.submitted = tenant.submitted;
-    t.admitted = tenant.admitted;
-    t.shed = tenant.shed;
-    t.rejected = tenant.rejected;
-    t.dispatched = tenant.dispatched;
-    t.ok = tenant.ok;
-    t.failed = tenant.failed;
-    t.latency = tenant.latency;
-    t.queue_wait = tenant.queue_wait;
-    stats.tenants.push_back(std::move(t));
-  }
+  for (const auto& tenant : tenants_) stats.tenants.push_back(tenant.stats);
   stats.models.reserve(models_.size());
   for (const auto& m : models_) {
-    FleetModelStats s;
-    s.model = m->config.name;
-    s.replicas = m->target;
-    s.replicas_peak = m->peak;
-    s.replicas_low = m->low;
-    s.dispatched = m->dispatched;
-    s.scale_ups = m->scale_ups;
-    s.scale_downs = m->scale_downs;
-    if (m->server) s.plan_arena_bytes = m->server->stats().plan_arena_bytes;
-    stats.models.push_back(std::move(s));
+    stats.models.push_back(m->stats);
+    if (m->server)
+      stats.models.back().plan_arena_bytes =
+          m->server->stats().plan_arena_bytes;
   }
   stats.timeline = timeline_;
   stats.decisions = decision_ordinal_;
@@ -551,7 +526,7 @@ int FleetManager::tenant_index(const std::string& tenant) const {
 int FleetManager::replica_target(const std::string& model) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& m : models_)
-    if (m->config.name == model) return m->target;
+    if (m->config.name == model) return m->stats.replicas;
   DLB_CHECK(false, "unknown fleet model: " + model);
   return -1;
 }

@@ -39,6 +39,15 @@
 //   independent of completion *timing*: the next decision depends only
 //   on queue contents, never on which model happened to finish first.
 //
+//   Completion — each dispatch hands the inner server a completion
+//   callback, which the server runs on the thread that resolves the
+//   request. It does the tenant accounting, stamps the end-to-end
+//   latency, frees the window slot and resolves the client's future
+//   right then, whatever order the requests were dispatched in. The
+//   server runs completions with none of its locks held, and the fleet
+//   never holds mu_ across an inner submit(), so a completion can always
+//   take mu_.
+//
 //   Autoscaling — every autoscale_every dispatch decisions (an ordinal
 //   cadence, deliberately not wall clock) the dispatcher re-evaluates
 //   each model's queued backlog per replica. Backlog above
@@ -229,8 +238,9 @@ struct FleetStats {
 
 /// The control plane. Lifecycle: construct → register models and
 /// tenants → start() → submit()/pause()/resume()/drain() → stop().
-/// Thread-safe: submit() from any number of threads; the dispatcher
-/// and one completion watcher per model run internally.
+/// Thread-safe: submit() from any number of threads; one dispatcher
+/// thread runs internally, and completions run on the model servers'
+/// threads.
 class FleetManager {
  public:
   explicit FleetManager(FleetOptions options);
@@ -245,8 +255,8 @@ class FleetManager {
   void register_tenant(FleetTenantConfig config);
 
   /// Builds the model servers (each at min_replicas) and starts the
-  /// dispatcher + completion watchers. `paused` starts the dispatcher
-  /// idle so a trace can be preloaded (the deterministic drain mode).
+  /// dispatcher. `paused` starts the dispatcher idle so a trace can be
+  /// preloaded (the deterministic drain mode).
   void start(bool paused = false);
 
   /// Admits one request for `tenant`. Never blocks: the future resolves
@@ -289,48 +299,29 @@ class FleetManager {
     std::int64_t admit_ns = 0;
   };
 
-  /// One dispatched request a completion watcher is waiting on.
-  struct Pending {
-    std::future<Prediction> inner;
-    std::shared_ptr<std::promise<Prediction>> promise;
-    int tenant = 0;
-    std::int64_t admit_ns = 0;
-    std::int64_t dispatch_ns = 0;
-  };
-
+  /// Counters live in `stats`, the struct stats() copies; its
+  /// `replicas` field is the current replica target.
   struct Model {
     FleetModelConfig config;
     nn::FrozenModel frozen;
     std::unique_ptr<ModelServer> server;
-    int target = 0;        // current replica target
-    int peak = 0;          // high-water replica mark
-    int low = 0;           // low-water replica mark
+    FleetModelStats stats;
     std::int64_t inflight = 0;
-    std::int64_t dispatched = 0;
-    std::int64_t scale_ups = 0;
-    std::int64_t scale_downs = 0;
     int low_evals = 0;  // consecutive scale-down-candidate evaluations
-    std::deque<Pending> pending;  // dispatch order
-    std::thread watcher;
 
     Model(FleetModelConfig c, nn::FrozenModel f)
-        : config(std::move(c)), frozen(std::move(f)) {}
+        : config(std::move(c)), frozen(std::move(f)) {
+      stats.model = config.name;
+    }
   };
 
+  /// Counters and latencies live in `stats`, the struct stats() copies.
   struct Tenant {
     FleetTenantConfig config;
     int model_index = 0;
     std::deque<Queued> queue;
     std::int64_t deficit = 0;
-    std::int64_t submitted = 0;
-    std::int64_t admitted = 0;
-    std::int64_t shed = 0;
-    std::int64_t rejected = 0;
-    std::int64_t dispatched = 0;
-    std::int64_t ok = 0;
-    std::int64_t failed = 0;
-    runtime::LatencyHistogram latency;
-    runtime::LatencyHistogram queue_wait;
+    FleetTenantStats stats;
   };
 
   /// Counted fleet events, in the order of the table in count_locked().
@@ -349,7 +340,11 @@ class FleetManager {
   void count_locked(Event event, Tenant* tenant, Model* model);
 
   void dispatcher_loop();
-  void watcher_loop(int model_index);
+  /// A dispatched request resolved (run by the inner server, no lock
+  /// held): tenant accounting, window release, client resolution.
+  void complete(int tenant_index, std::int64_t admit_ns,
+                std::int64_t dispatch_ns, std::promise<Prediction>& promise,
+                Prediction prediction);
   /// Next tenant to serve under the active policy, or -1 when every
   /// queue is empty. Consumes DRR deficit / FIFO head. mu_ held.
   int pick_locked();
@@ -360,16 +355,16 @@ class FleetManager {
                   const std::string& model, SloClass slo,
                   std::int64_t detail);
   std::int64_t window_locked(const Model& m) const {
-    return m.config.window_per_replica * static_cast<std::int64_t>(m.target);
+    return m.config.window_per_replica *
+           static_cast<std::int64_t>(m.stats.replicas);
   }
   bool idle_locked() const { return queued_total_ == 0 && inflight_total_ == 0; }
 
   FleetOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   // dispatcher: work / window / resume
-  std::condition_variable cv_watch_;  // watchers: pending arrived / stop
-  std::condition_variable cv_idle_;   // drain(): fleet went idle
+  std::condition_variable cv_work_;  // dispatcher: work / window / resume
+  std::condition_variable cv_idle_;  // drain(): fleet went idle
   std::vector<std::unique_ptr<Model>> models_;
   std::vector<Tenant> tenants_;
   std::deque<int> fifo_;  // admission-order tenant indices (kFifo only)

@@ -181,43 +181,39 @@ void ModelServer::count(Event event, std::int64_t n) {
   trace::counter_add(kEvents[e].trace, n);
 }
 
-std::future<Prediction> ModelServer::submit(tensor::Tensor input,
-                                            SubmitOptions submit_options) {
+void ModelServer::submit(tensor::Tensor input, SubmitOptions submit_options,
+                         Completion done) {
   DLB_CHECK(input.shape() == options_.sample_shape,
             "request shape " + input.shape().to_string() +
                 " != sample_shape " + options_.sample_shape.to_string());
   count(Event::kSubmitted);
-  std::promise<Prediction> promise;
-  std::future<Prediction> future = promise.get_future();
 
   std::unique_lock<std::mutex> lock(mu_);
+  // A refusal resolves on the submitting thread, after its counter moves
+  // and with mu_ released: no completion runs under a server lock.
+  const auto refuse = [&](RequestStatus status) {
+    lock.unlock();
+    done(make_failure(status));
+  };
   if (stopping_) {
     ++rejected_shutdown_;
-    lock.unlock();
-    promise.set_value(make_failure(RequestStatus::kShutdown));
-    return future;
+    return refuse(RequestStatus::kShutdown);
   }
   if (all_dead_) {
     // Unsupervised fleet with every replica crashed: nobody will ever
     // serve this, so fail fast instead of queueing forever.
-    lock.unlock();
     count(Event::kErrors);
-    promise.set_value(make_failure(RequestStatus::kError));
-    return future;
+    return refuse(RequestStatus::kError);
   }
   const std::int64_t enqueue_ns = now_ns();
   maybe_close_breaker_locked(enqueue_ns);
   if (breaker_open_ && submit_options.slo == SloClass::kBronze) {
-    lock.unlock();
     count(Event::kShedBreaker);
-    promise.set_value(make_failure(RequestStatus::kShed));
-    return future;
+    return refuse(RequestStatus::kShed);
   }
   if (queue_.size() >= options_.reject_watermark) {
-    lock.unlock();
     count(Event::kRejected);
-    promise.set_value(make_failure(RequestStatus::kRejected));
-    return future;
+    return refuse(RequestStatus::kRejected);
   }
   ++accepted_;
   auto req = std::make_shared<Request>();
@@ -226,7 +222,7 @@ std::future<Prediction> ModelServer::submit(tensor::Tensor input,
   // decision — is identical run-to-run (determinism contract).
   req->id = next_id_++;
   req->input = std::move(input);
-  req->promise = std::move(promise);
+  req->done = std::move(done);
   req->enqueue_ns = enqueue_ns;
   req->slo = submit_options.slo;
   if (fault::serve_expire_request(req->id)) {
@@ -242,6 +238,14 @@ std::future<Prediction> ModelServer::submit(tensor::Tensor input,
   lock.unlock();
   trace::gauge_record("serve.queue_depth", depth);
   cv_.notify_one();
+}
+
+std::future<Prediction> ModelServer::submit(tensor::Tensor input,
+                                            SubmitOptions submit_options) {
+  auto promise = std::make_shared<std::promise<Prediction>>();
+  std::future<Prediction> future = promise->get_future();
+  submit(std::move(input), submit_options,
+         [promise](Prediction p) { promise->set_value(std::move(p)); });
   return future;
 }
 
@@ -258,7 +262,7 @@ void ModelServer::resolve_failure(Dispatch& dispatch, RequestStatus status) {
   Prediction p = make_failure(status);
   p.attempts = dispatch.attempt + 1;
   p.hedged = dispatch.req->hedged.load(std::memory_order_relaxed);
-  dispatch.req->promise.set_value(std::move(p));
+  dispatch.req->done(std::move(p));
 }
 
 void ModelServer::fail_dispatch(Dispatch& dispatch, RequestStatus status) {
@@ -535,12 +539,14 @@ void ModelServer::supervisor_tick() {
 
 void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {
   // Counter first (counter-before-resolve): the all-dead drain below
-  // resolves client futures, and a client that just observed one may
+  // resolves client requests, and a client that just observed one may
   // immediately read stats() — it must find this crash counted.
   count(Event::kCrashes);
   // Requeue the in-flight batch at the head of the queue before dying:
-  // no client future is ever stranded by a crash, the work just lands
+  // no client request is ever stranded by a crash, the work just lands
   // on a surviving (or restarted) replica.
+  std::deque<Dispatch> doomed;
+  std::vector<TimedDispatch> doomed_retries;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = batch.rbegin(); it != batch.rend(); ++it)
@@ -550,23 +556,21 @@ void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {
                               std::memory_order_acq_rel);
     --live_replicas_;
     if (live_replicas_ == 0 && !options_.supervise) {
-      // Nobody will ever restart us: fail everything queued now and
-      // turn submit() into an immediate error (see submit).
+      // Nobody will ever restart us: take everything queued, to fail
+      // once mu_ is released, and turn submit() into an immediate error
+      // (see submit).
       all_dead_ = true;
-      for (auto& dispatch : queue_) {
-        if (!claim_dispatch(dispatch)) continue;
-        count(Event::kErrors);
-        resolve_failure(dispatch, RequestStatus::kError);
-      }
-      queue_.clear();
-      for (auto& timed : retry_heap_) {
-        if (!claim_dispatch(timed.dispatch)) continue;
-        count(Event::kErrors);
-        resolve_failure(timed.dispatch, RequestStatus::kError);
-      }
-      retry_heap_.clear();
+      doomed.swap(queue_);
+      doomed_retries.swap(retry_heap_);
     }
   }
+  const auto fail = [this](Dispatch& dispatch) {
+    if (!claim_dispatch(dispatch)) return;
+    count(Event::kErrors);
+    resolve_failure(dispatch, RequestStatus::kError);
+  };
+  for (auto& dispatch : doomed) fail(dispatch);
+  for (auto& timed : doomed_retries) fail(timed.dispatch);
   batch.clear();
   cv_.notify_all();
   // dead is the supervisor's cue to reap the slot; set it last so the
@@ -745,9 +749,9 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   // Scatter: per dispatch, route the result through the fault filters
   // (transient error → retry/fail, corruption) and the first-wins
   // claim (hedged duplicates resolve exactly once). Results are built
-  // and every counter committed here; promises resolve only after the
+  // and every counter committed here; completions run only after the
   // whole batch's accounting lands below, so a client that just
-  // observed its future may immediately read stats() and find its own
+  // observed its result may immediately read stats() and find its own
   // request — and its batchmates — counted.
   std::int64_t delivered = 0;
   std::vector<std::optional<Prediction>> resolutions(
@@ -822,7 +826,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   record_stage("serve.scatter", lat.scatter, forwarded_ns, end_ns);
   count(Event::kBatches);
 
-  // Accounting commits before any promise resolves and before the
+  // Accounting commits before any completion runs and before the
   // in-flight count drops, so both a just-resumed client and a drain
   // waiter observing zero in-flight see the final counters.
   {
@@ -834,8 +838,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   for (std::int64_t i = 0; i < batch_size; ++i) {
     auto& resolution = resolutions[static_cast<std::size_t>(i)];
     if (resolution.has_value())
-      batch[static_cast<std::size_t>(i)].req->promise.set_value(
-          std::move(*resolution));
+      batch[static_cast<std::size_t>(i)].req->done(std::move(*resolution));
   }
   inflight_count_.fetch_sub(batch_size, std::memory_order_acq_rel);
   cv_.notify_all();

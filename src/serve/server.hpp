@@ -8,11 +8,11 @@
 // al.) shows that the serving-side concerns — request batching,
 // concurrency, tail latency — dominate deployment cost. ModelServer is
 // that missing layer: clients submit single-sample requests and get
-// futures; N replica worker threads pull from one bounded queue through
-// a dynamic batcher (flush on max-batch-size or max-queue-delay,
-// whichever comes first), run one batched forward over an immutable
-// FrozenModel, and scatter per-request results back through the
-// futures.
+// futures (or pass a completion callback); N replica worker threads
+// pull from one bounded queue through a dynamic batcher (flush on
+// max-batch-size or max-queue-delay, whichever comes first), run one
+// batched forward over an immutable FrozenModel, and scatter
+// per-request results back through each request's completion.
 //
 // Overload policy is shed-at-admission: once queue depth reaches
 // `reject_watermark` a request is completed immediately with
@@ -23,7 +23,7 @@
 // Robustness layer (see DESIGN.md §13): replicas are slots in a
 // supervised fleet. A supervisor thread heartbeats the fleet,
 // restarting replicas that crash (their in-flight batch is requeued by
-// the dying thread, so no future is ever stranded) and
+// the dying thread, so no request is ever stranded) and
 // abandoning-and-replacing replicas stalled past `stall_timeout_s`.
 // Requests carry optional deadlines propagated through the batcher:
 // an expired request is shed before forward and never batched. A
@@ -50,6 +50,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -115,6 +116,14 @@ struct Prediction {
   /// request (whether or not the hedge delivered first).
   bool hedged = false;
 };
+
+/// Receives a request's single resolution. The server calls it exactly
+/// once per submit(), on whichever thread resolves the request (the
+/// submitting thread for refusals, a replica or the shutdown caller
+/// otherwise), and never while it holds any of its own locks — so a
+/// completion may call back into the server (stats(), submit()). It
+/// must not throw: it runs on the server's threads.
+using Completion = std::function<void(Prediction)>;
 
 /// Serving policy for one ModelServer.
 struct ServerOptions {
@@ -240,10 +249,14 @@ class ModelServer {
   ModelServer& operator=(const ModelServer&) = delete;
   ~ModelServer();
 
-  /// Submits one sample (shape must equal options().sample_shape).
-  /// Never blocks: over the watermark the future resolves immediately
-  /// with kRejected. The tensor is aliased, not copied — callers must
-  /// not mutate it until the future resolves.
+  /// Submits one sample (shape must equal options().sample_shape);
+  /// `done` receives its resolution. Never blocks: over the watermark
+  /// `done` runs before submit returns, with kRejected. The tensor is
+  /// aliased, not copied — callers must not mutate it until `done` runs.
+  void submit(tensor::Tensor input, SubmitOptions submit_options,
+              Completion done);
+
+  /// The same, resolved through a future.
   std::future<Prediction> submit(tensor::Tensor input,
                                  SubmitOptions submit_options = {});
 
@@ -279,11 +292,11 @@ class ModelServer {
  private:
   /// One client request; shared between the queue, in-flight batches,
   /// hedge duplicates and the retry heap. `claimed` is the first-wins
-  /// gate: whoever exchanges it to true owns the promise.
+  /// gate: whoever exchanges it to true owns the completion.
   struct Request {
     std::int64_t id = 0;
     tensor::Tensor input;
-    std::promise<Prediction> promise;
+    Completion done;
     std::int64_t enqueue_ns = 0;
     std::int64_t deadline_ns = 0;  // 0 = none
     SloClass slo = SloClass::kSilver;
@@ -383,11 +396,12 @@ class ModelServer {
   void supervisor_tick();
   /// Wins the first-claim on `dispatch`'s request; false when a twin
   /// dispatch already resolved it. Callers bump their counters between
-  /// this and resolve_*, so a client that has seen its future resolve
+  /// this and resolve_*, so a client that has seen its request resolve
   /// also sees the counters — resolving first would let stats() race
   /// one increment behind.
   static bool claim_dispatch(Dispatch& dispatch);
-  /// Resolves a claimed dispatch with a failure `status`.
+  /// Resolves a claimed dispatch with a failure `status`. Like every
+  /// completion, called with no server lock held.
   static void resolve_failure(Dispatch& dispatch, RequestStatus status);
   /// claim + resolve for paths with no counters of their own.
   void fail_dispatch(Dispatch& dispatch, RequestStatus status);

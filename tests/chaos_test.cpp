@@ -145,6 +145,44 @@ TEST(ChaosCrash, UnsupervisedFleetDiesAndFailsFastInsteadOfHanging) {
   EXPECT_EQ(server.predict(samples[0]).status, RequestStatus::kError);
 }
 
+// Completions run with no server lock held (DESIGN.md §14). The
+// all-dead drain fails every queued request from the last crashing
+// replica; each completion here reads stats(), which takes the server's
+// own locks, so a drain that resolved under mu_ would self-deadlock.
+TEST(ChaosCrash, AllDeadDrainRunsCompletionsOutsideServerLocks) {
+  FaultPlan plan;
+  plan.serve_crash_every = 1;  // every batch, unlimited
+  FaultScope scope(plan);
+
+  const auto samples = mnist_samples(4);
+  ServerOptions opts = chaos_options();
+  opts.supervise = false;
+  ModelServer server(mnist_model(), opts);
+
+  constexpr int kRequests = 16;
+  std::vector<std::promise<Prediction>> results(kRequests);
+  std::vector<std::future<Prediction>> futures;
+  std::vector<std::int64_t> errors_seen(kRequests, 0);
+  for (auto& result : results) futures.push_back(result.get_future());
+  for (int i = 0; i < kRequests; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    server.submit(samples[k % samples.size()], {},
+                  [&server, &results, &errors_seen, k](Prediction p) {
+                    errors_seen[k] = server.stats().errors;
+                    results[k].set_value(std::move(p));
+                  });
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(futures[k].get().status, RequestStatus::kError) << i;
+    // Counter-before-resolve: the completion already sees its error.
+    EXPECT_GE(errors_seen[k], 1) << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.errors, kRequests);
+  EXPECT_EQ(stats.live_replicas, 0);
+}
+
 // ---- stall watchdog ---------------------------------------------------
 
 TEST(ChaosStall, StalledReplicaIsAbandonedAndReplaced) {

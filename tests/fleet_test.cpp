@@ -8,12 +8,14 @@
 #include <future>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "frameworks/predictor.hpp"
 #include "nn/frozen.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/trace.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
@@ -520,6 +522,48 @@ TEST(FleetScaleDownTest, ResizeReplicasNeverDropsInFlightWork) {
   EXPECT_EQ(stats.completed, 180);
   EXPECT_EQ(stats.crashes, 0);
   EXPECT_THROW(server.resize_replicas(0), dlbench::Error);
+}
+
+// ---- completion routing -------------------------------------------------
+
+// A fleet request resolves when its server finishes it, not in dispatch
+// order: with the first dispatch stalled on one replica, the second,
+// served by the other replica, must resolve (and free its window slot)
+// while the first is still held.
+TEST(FleetCompletionTest, LaterRequestResolvesWhileEarlierIsStalled) {
+  dlbench::runtime::fault::FaultPlan plan;
+  plan.serve_stall_every = 1;
+  plan.serve_stall_ms = 2000;
+  plan.serve_stall_max = 1;  // only the first batch stalls
+  dlbench::runtime::fault::FaultScope scope(plan);
+
+  FleetManager fleet(fast_options());
+  auto model = fast_model("m");
+  model.min_replicas = 2;
+  model.max_replicas = 2;
+  model.max_batch = 1;
+  fleet.register_model(std::move(model), mnist_model(FrameworkKind::kCaffe));
+  fleet.register_tenant(tenant("t", "m"));
+  fleet.start();
+  const auto sample = Tensor::zeros(mnist_shape());
+
+  auto first = fleet.submit("t", sample);
+  while (scope.stats().serve_stalls == 0) std::this_thread::yield();
+  // The first dispatch is now stalled on one replica.
+  auto second = fleet.submit("t", sample);
+  ASSERT_EQ(second.wait_for(std::chrono::milliseconds(1500)),
+            std::future_status::ready)
+      << "the second request waited behind the stalled first one";
+  EXPECT_EQ(second.get().status, RequestStatus::kOk);
+  EXPECT_EQ(first.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.tenants[0].ok, 1);
+  EXPECT_EQ(stats.inflight, 1);
+
+  EXPECT_EQ(first.get().status, RequestStatus::kOk);
+  fleet.stop();
+  EXPECT_EQ(fleet.stats().tenants[0].ok, 2);
 }
 
 // ---- determinism --------------------------------------------------------
