@@ -61,7 +61,7 @@ class BenchSession {
     }
     core::print_banner(id, description, options_);
     if ((!trace_out_.empty() || trace_summary_) &&
-        runtime::trace::compiled() && !runtime::trace::enabled()) {
+        !runtime::trace::enabled()) {
       runtime::trace::TraceOptions topts;
       topts.out_path = trace_out_;
       topts.print_summary = trace_summary_;

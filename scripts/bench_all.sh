@@ -28,15 +28,23 @@
 # Training/attack cells are step-capped (DLB_STEP_CAP, default 40) so a
 # snapshot takes minutes, not hours; per-step and per-attack times are
 # scale-free, and the cap used is recorded in the JSON. Override:
-#   DLB_STEP_CAP=0 scripts/bench_all.sh     # full-length training cells
+#   DLB_STEP_CAP=0 scripts/bench_all.sh out.json   # full-length cells
 #
-# Usage: scripts/bench_all.sh [out.json] [build-dir]
-#        (defaults: BENCH_10.json, build)
+# The checked-in BENCH_6/8/9/10.json are single-sample legacy snapshots
+# (one run per cell, no spread): keep them as they are and write new
+# snapshots to a new path.
+#
+# Usage: scripts/bench_all.sh <out.json> [build-dir]
+#        (build-dir defaults to build)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_10.json}"
+if [ $# -lt 1 ] || [ -z "$1" ]; then
+  echo "usage: scripts/bench_all.sh <out.json> [build-dir]" >&2
+  exit 2
+fi
+OUT="$1"
 BUILD_DIR="${2:-build}"
 export DLB_STEP_CAP="${DLB_STEP_CAP:-40}"
 

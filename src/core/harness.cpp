@@ -196,8 +196,7 @@ Harness::TrainedModel Harness::train_cell(
   {
     runtime::trace::TraceOptions trace_opts =
         runtime::trace::TraceOptions::from_env();
-    if (trace_opts.armed && runtime::trace::compiled() &&
-        !runtime::trace::enabled()) {
+    if (trace_opts.armed && !runtime::trace::enabled()) {
       if (!trace_opts.out_path.empty()) {
         const std::string tag = sanitize_cell_tag(
             out.record.framework + "_" + out.record.setting + "_" +

@@ -1,20 +1,25 @@
 #include "runtime/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/env.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace dlbench::runtime::trace {
 
 using util::env_i64;
 
-// Defined outside the DLB_TRACE_DISABLED guard: callers arm tracing
-// from the environment regardless of whether the build can honor it.
 TraceOptions TraceOptions::from_env() {
   TraceOptions opts;
   opts.armed = env_i64("DLB_TRACE", 0) != 0;
@@ -67,21 +72,6 @@ std::string TraceReport::summary_table() const {
     os << "(" << dropped_events << " span events dropped: buffer cap)\n";
   return os.str();
 }
-
-}  // namespace dlbench::runtime::trace
-
-#ifndef DLB_TRACE_DISABLED
-
-#include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <mutex>
-#include <unordered_set>
-
-#include "util/error.hpp"
-#include "util/json.hpp"
-
-namespace dlbench::runtime::trace {
 
 namespace {
 
@@ -237,7 +227,6 @@ TraceReport TraceScope::report() const {
   TraceReport out;
   std::map<std::pair<std::string, std::string>, SpanStat> span_agg;
   std::map<std::string, CounterStat> counter_agg;
-  std::map<std::string, bool> counter_is_gauge;
 
   std::lock_guard<std::mutex> lock(state_->mu);
   for (const auto& buf : state_->buffers) {
@@ -258,7 +247,6 @@ TraceReport TraceScope::report() const {
     for (const CounterCell& c : buf->counters) {
       CounterStat& stat = counter_agg[c.name];
       stat.name = c.name;
-      counter_is_gauge[c.name] = c.is_gauge;
       if (c.is_gauge) {
         // Cross-thread gauge: report the largest last-value as `value`
         // and the overall peak.
@@ -323,5 +311,3 @@ void TraceScope::write_chrome_json(const std::string& path) const {
 }
 
 }  // namespace dlbench::runtime::trace
-
-#endif  // DLB_TRACE_DISABLED

@@ -13,10 +13,9 @@
 // The design mirrors runtime/fault: a TraceScope (RAII, at most one
 // active) installs shared state behind a single atomic pointer, and
 // every instrumentation point costs one relaxed atomic load when no
-// scope is active. Building with -DDLBENCH_TRACE=OFF (which defines
-// DLB_TRACE_DISABLED) compiles the instrumentation out; a Span given
-// an accumulator still times into it, because the training phase
-// breakdown and the crafting times are measured in every build.
+// scope is active. A Span given an accumulator times into it with no
+// scope active, because the training phase breakdown and the crafting
+// times are measured in every run.
 //
 // Threading contract, same as FaultScope: events may be recorded from
 // pool workers, but the scope owner must not destroy the scope (or call
@@ -87,11 +86,6 @@ struct TraceReport {
   std::string summary_table() const;
 };
 
-#ifndef DLB_TRACE_DISABLED
-
-/// True when tracing support is compiled in.
-constexpr bool compiled() { return true; }
-
 /// RAII activation of tracing. At most one scope is active (nesting
 /// throws). Destruction deactivates, writes options.out_path (if set),
 /// and prints the summary (if requested).
@@ -122,7 +116,7 @@ namespace detail {
 /// The active scope's State, published by TraceScope. Exposed only so
 /// the fast-path checks below can inline down to one atomic load —
 /// instrumented kernels sit inside GEMM inner functions where even an
-/// out-of-line call per invocation shows up in the disarmed build.
+/// out-of-line call per invocation shows up when no scope is active.
 extern std::atomic<void*> g_active;
 }  // namespace detail
 
@@ -164,38 +158,14 @@ inline void gauge_record(const char* name, std::int64_t value) {
   if (enabled()) detail::gauge_record_slow(name, value);
 }
 
-#else  // DLB_TRACE_DISABLED: every entry point collapses to a no-op.
-
-constexpr bool compiled() { return false; }
-
-class TraceScope {
- public:
-  explicit TraceScope(TraceOptions options = TraceOptions{}) {
-    (void)options;
-  }
-  TraceReport report() const { return TraceReport{}; }
-  std::string chrome_json() const { return "{\"traceEvents\":[]}\n"; }
-  void write_chrome_json(const std::string&) const {}
-};
-
-inline bool enabled() { return false; }
-inline const char* intern(const std::string&) { return ""; }
-inline void record_span(const char*, const char*, std::int64_t,
-                        std::int64_t) {}
-
-inline void counter_add(const char*, std::int64_t) {}
-inline void gauge_record(const char*, std::int64_t) {}
-
-#endif  // DLB_TRACE_DISABLED
-
 /// RAII timed interval [construction, destruction): the one way an
 /// interval is measured. With `add_s` set the elapsed seconds are
-/// always added to `*add_s` (a PhaseBreakdown field, a craft time),
-/// in every build; when a scope is active the same two clock reads are
-/// also recorded as a span under `name`. A null `name` times without
-/// tracing. `name` and `category` must be string literals or interned
-/// strings. A span with neither an active scope nor `add_s` is one
-/// atomic load and no clock read (nothing with tracing compiled out).
+/// always added to `*add_s` (a PhaseBreakdown field, a craft time);
+/// when a scope is active the same two clock reads are also recorded as
+/// a span under `name`. A null `name` times without tracing. `name` and
+/// `category` must be string literals or interned strings. A span with
+/// neither an active scope nor `add_s` is one atomic load and no clock
+/// read.
 class Span {
  public:
   Span(const char* name, const char* category, double* add_s = nullptr)

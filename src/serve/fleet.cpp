@@ -177,6 +177,11 @@ std::future<Prediction> FleetManager::submit(int tenant_index,
               "fleet tenant index out of range");
     Tenant& tenant = tenants_[static_cast<std::size_t>(tenant_index)];
     const Model& model = *models_[static_cast<std::size_t>(tenant.model_index)];
+    // Checked here, on the caller's thread: the inner server's own check
+    // would throw on the dispatcher thread and end the process.
+    DLB_CHECK(input.shape() == model.config.sample_shape,
+              "request shape " + input.shape().to_string() +
+                  " != sample_shape " + model.config.sample_shape.to_string());
     count_locked(Event::kSubmitted, &tenant, nullptr);
     if (stop_) {
       promise->set_value(immediate(RequestStatus::kShutdown));

@@ -433,7 +433,8 @@ ServerStats ModelServer::stats() const {
     }
   }
   // Plan arenas are resident memory, not a lifetime counter: staffed
-  // slots only (a retired replica's arena is freed with its slot).
+  // slots only (a retired replica's arenas are unmapped as its thread
+  // exits).
   for (const auto& replica : replicas_)
     stats.plan_arena_bytes +=
         replica->arena_bytes.load(std::memory_order_relaxed);
@@ -587,6 +588,9 @@ void ModelServer::replica_loop(Replica& replica) {
   std::vector<Dispatch> expired;
   batch.reserve(static_cast<std::size_t>(options_.max_batch));
   std::int64_t batch_ordinal = 0;  // per-incarnation (determinism key)
+  // Execution-plan compiler for this incarnation's batches (DESIGN.md
+  // §15); its arenas are unmapped as the thread exits.
+  nn::StepPlanner planner;
 
   for (;;) {
     batch.clear();
@@ -680,12 +684,13 @@ void ModelServer::replica_loop(Replica& replica) {
       return;
     }
     replica.busy_since_ns.store(now_ns(), std::memory_order_release);
-    process_batch(replica, batch, batch_ordinal);
+    process_batch(replica, planner, batch, batch_ordinal);
     replica.busy_since_ns.store(0, std::memory_order_release);
   }
 }
 
-void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
+void ModelServer::process_batch(Replica& replica, nn::StepPlanner& planner,
+                                std::vector<Dispatch>& batch,
                                 std::int64_t batch_ordinal) {
   const std::int64_t batch_size = static_cast<std::int64_t>(batch.size());
   const std::int64_t start_ns = now_ns();
@@ -703,7 +708,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
   // and everything scatter keeps is copied into plain std::vectors —
   // no tensor escapes the extent (DESIGN.md §15).
   std::optional<nn::StepPlanner::StepGuard> plan_guard(
-      replica.planner.step(batch_size));
+      planner.step(batch_size));
 
   // Assemble: gather request samples into one [B, ...sample] tensor.
   const tensor::Shape& sample = options_.sample_shape;
@@ -743,8 +748,7 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
 
   // Close the plan extent and mirror the sealed footprint for stats().
   plan_guard.reset();
-  replica.arena_bytes.store(replica.planner.arena_bytes(),
-                            std::memory_order_relaxed);
+  replica.arena_bytes.store(planner.arena_bytes(), std::memory_order_relaxed);
 
   // Scatter: per dispatch, route the result through the fault filters
   // (transient error → retry/fail, corruption) and the first-wins

@@ -350,12 +350,10 @@ class ModelServer {
     /// now_ns() when the current batch began; 0 = idle. The stall
     /// watchdog reads this.
     std::atomic<std::int64_t> busy_since_ns{0};
-    /// Execution-plan compiler for this slot's batches (DESIGN.md §15).
-    /// Thread-confined to the replica thread; everything other threads
-    /// need is mirrored into `arena_bytes` below.
-    nn::StepPlanner planner;
-    /// Sealed plan arena capacity, refreshed after each batch extent;
-    /// read by stats() for the per-replica memory report.
+    /// Sealed plan arena capacity of the replica thread's planner (a
+    /// local of replica_loop, so its arenas are unmapped when the thread
+    /// exits), refreshed after each batch extent; read by stats() for
+    /// the per-replica memory report.
     std::atomic<std::int64_t> arena_bytes{0};
 
     Replica(nn::FrozenModel m, int s) : model(std::move(m)), slot(s) {}
@@ -389,8 +387,8 @@ class ModelServer {
   void count(Event event, std::int64_t n = 1);
 
   void replica_loop(Replica& replica);
-  void process_batch(Replica& replica, std::vector<Dispatch>& batch,
-                     std::int64_t batch_ordinal);
+  void process_batch(Replica& replica, nn::StepPlanner& planner,
+                     std::vector<Dispatch>& batch, std::int64_t batch_ordinal);
   void crash_exit(Replica& replica, std::vector<Dispatch>& batch);
   void supervisor_loop();
   void supervisor_tick();

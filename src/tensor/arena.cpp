@@ -24,7 +24,8 @@ std::int64_t align_up(std::int64_t bytes) {
 
 constexpr const char* kEventNames[] = {
     "tensor.allocs",      "tensor.bytes",        "tensor.arena_allocs",
-    "tensor.arena_bytes", "tensor.arena_spills", "plan.replays"};
+    "tensor.arena_bytes", "tensor.arena_spills", "plan.replays",
+    "tensor.arena_mapped_bytes"};
 constexpr auto kEventCount = static_cast<std::size_t>(Event::kCount);
 
 std::array<std::atomic<std::int64_t>, kEventCount> event_totals{};
@@ -208,8 +209,11 @@ Arena::Arena(const Measurement& measured)
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   DLB_CHECK(p != MAP_FAILED, "cannot map a " << bytes << "-byte plan arena");
-  block_ = std::shared_ptr<float[]>(
-      static_cast<float*>(p), [bytes](float* q) { munmap(q, bytes); });
+  count(Event::kMappedBytes, capacity_);
+  block_ = std::shared_ptr<float[]>(static_cast<float*>(p), [bytes](float* q) {
+    munmap(q, bytes);
+    count(Event::kMappedBytes, -static_cast<std::int64_t>(bytes));
+  });
 }
 
 // ---------------------------------------------------------------------------

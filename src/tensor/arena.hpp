@@ -49,10 +49,12 @@
 // Counters (count() below): tensor.arena_allocs / tensor.arena_bytes
 // count replay hits; tensor.arena_spills counts replay misses; heap
 // allocations count as tensor.allocs / tensor.bytes on every path;
-// plan.replays counts replayed steps (nn/plan). Each is bumped at one
-// site, into a process-wide total and the trace counter of the same
-// name, so the zero-allocation claim holds checkably whether or not
-// tracing is compiled in.
+// plan.replays counts replayed steps (nn/plan);
+// tensor.arena_mapped_bytes is the net size of the mapped arena blocks
+// (added at mmap, subtracted at munmap). Each is bumped at one site,
+// into a process-wide total and the trace counter of the same name, so
+// the zero-allocation and freed-arena claims are checkable with no
+// trace scope active.
 
 #include <cstdint>
 #include <limits>
@@ -73,6 +75,7 @@ enum class Event {
   kArenaBytes,   // tensor.arena_bytes
   kArenaSpills,  // tensor.arena_spills
   kPlanReplays,  // plan.replays
+  kMappedBytes,  // tensor.arena_mapped_bytes (net: + map, - unmap)
   kCount
 };
 

@@ -509,8 +509,6 @@ void expect_counters_match(const TraceReport& report,
 }
 
 TEST(ChaosTrace, ServeCountersEqualServerStats) {
-  if (!dlbench::runtime::trace::compiled())
-    GTEST_SKIP() << "tracing compiled out";
   const auto samples = mnist_samples(8);
   {
     SCOPED_TRACE("unsupervised fleet dies, then shuts down");

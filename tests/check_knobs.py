@@ -7,7 +7,7 @@ Usage: check_knobs.py REPO_ROOT
   literal) must have a row in KNOBS.md.
 - Every DLB_* name in the first column of a KNOBS.md table row must be
   read somewhere in src/, or be one of the test, script or
-  compile-time knobs in NOT_READ_BY_SRC.
+  CMake knobs in NOT_READ_BY_SRC.
 
 Exits non-zero listing every violation.
 """
@@ -17,11 +17,10 @@ import re
 import sys
 
 # Knobs that KNOBS.md documents but src/ does not read: test and script
-# variables, and compile-time switches.
+# variables and CMake options.
 NOT_READ_BY_SRC = {
     "DLB_GOLDEN_RECORD",     # tests/golden_test.cpp
     "DLB_PERF_FLOOR_SCALE",  # scripts/perf_smoke.sh
-    "DLB_TRACE_DISABLED",    # compile-time -D switch
     "DLBENCH_SANITIZE",      # CMake option / scripts/sanitize_check.sh
 }
 

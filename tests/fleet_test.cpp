@@ -180,6 +180,22 @@ TEST(FleetRegistryTest, MinReplicasMustFitCoreBudget) {
   EXPECT_THROW(fleet.start(), dlbench::Error);
 }
 
+// A wrong-shaped request is refused on the caller's thread, before it
+// is counted; the inner server's check would otherwise throw on the
+// dispatcher thread and end the process.
+TEST(FleetAdmissionTest, WrongShapedRequestThrowsOnTheCallersThread) {
+  FleetManager fleet(fast_options());
+  fleet.register_model(fast_model("m"), mnist_model(FrameworkKind::kCaffe));
+  fleet.register_tenant(tenant("t", "m"));
+  fleet.start();
+  EXPECT_THROW(fleet.submit("t", Tensor::zeros(Shape({3, 32, 32}))),
+               dlbench::Error);
+  EXPECT_EQ(fleet.submit("t", Tensor::zeros(mnist_shape())).get().status,
+            RequestStatus::kOk);
+  EXPECT_EQ(fleet.stats().tenants[0].submitted, 1);
+  fleet.stop();
+}
+
 // ---- weighted-fair scheduling -------------------------------------------
 
 TEST(FleetSchedulerTest, DeficitRoundRobinHonorsExactWeightShares) {
@@ -382,8 +398,6 @@ TEST(FleetAutoscaleTest, ScalesUpUnderBacklogAndDownOnlyAfterHysteresis) {
 // trace counter at one site, so the two agree on every kind: sheds,
 // queue rejections, dispatches and both scale directions.
 TEST(FleetTrace, FleetCountersEqualFleetStats) {
-  if (!dlbench::runtime::trace::compiled())
-    GTEST_SKIP() << "tracing compiled out";
   FleetOptions options = fast_options();
   options.global_queue_budget = 16;  // bronze sheds at a backlog of 8
   options.bronze_watermark = 0.5;

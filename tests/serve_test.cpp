@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "nn/frozen.hpp"
 #include "runtime/trace.hpp"
 #include "serve/loadgen.hpp"
+#include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -361,10 +363,50 @@ TEST(ModelServer, StatsAccountForEveryRequest) {
   EXPECT_GE(stats.latency.total.max_s(), stats.latency.queue_wait.min_s());
 }
 
+// A retired replica's plan arenas are unmapped when its thread exits,
+// not when the server is destroyed: after repeated scale-up/scale-down
+// the mapped arena bytes come back to the staffed replicas' footprint.
+TEST(ModelServer, RetiredReplicasUnmapTheirPlanArenas) {
+  using dlbench::tensor::arena::Event;
+  using dlbench::tensor::arena::total;
+  const std::int64_t baseline = total(Event::kMappedBytes);
+  {
+    PredictorConfig config;
+    ServerOptions opts;
+    opts.sample_shape = dlbench::frameworks::sample_shape(DatasetId::kMnist);
+    opts.replicas = 1;
+    opts.max_batch = 8;
+    ModelServer server(make_predictor(config), opts);
+    const auto samples = random_samples(opts.sample_shape, 8, 54);
+    const auto serve_phase = [&] {
+      std::vector<std::future<Prediction>> futures;
+      for (int i = 0; i < 400; ++i)
+        futures.push_back(server.submit(samples[i % samples.size()]));
+      for (auto& future : futures)
+        ASSERT_EQ(future.get().status, RequestStatus::kOk);
+    };
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      server.resize_replicas(4);
+      serve_phase();
+      server.resize_replicas(1);
+      serve_phase();
+    }
+    // Retired threads exit after their last batch; poll, bounded.
+    std::int64_t expected = 0;
+    for (int i = 0; i < 2000; ++i) {
+      expected = baseline + server.stats().plan_arena_bytes;
+      if (total(Event::kMappedBytes) == expected) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GT(server.stats().plan_arena_bytes, 0);
+    EXPECT_EQ(total(Event::kMappedBytes), expected);
+  }
+  EXPECT_EQ(total(Event::kMappedBytes), baseline);
+}
+
 TEST(ModelServer, EmitsServeSpansAndCounters) {
   using dlbench::runtime::trace::TraceOptions;
   using dlbench::runtime::trace::TraceScope;
-  if (!dlbench::runtime::trace::compiled()) GTEST_SKIP();
 
   PredictorConfig config;
   const auto model = make_predictor(config);

@@ -24,10 +24,6 @@
 namespace dlbench::runtime::trace {
 namespace {
 
-// Tests of what an active scope records skip in builds with tracing
-// compiled out (-DDLBENCH_TRACE=OFF), where TraceScope records nothing;
-// the rest run in both builds.
-
 TEST(TraceTest, DisabledByDefault) {
   EXPECT_FALSE(enabled());
   // Instrumentation points must be safe no-ops with no scope active.
@@ -38,7 +34,6 @@ TEST(TraceTest, DisabledByDefault) {
 }
 
 TEST(TraceTest, ScopeActivatesAndDeactivates) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   ASSERT_FALSE(enabled());
   {
     TraceScope scope;
@@ -48,13 +43,11 @@ TEST(TraceTest, ScopeActivatesAndDeactivates) {
 }
 
 TEST(TraceTest, NestedScopesThrow) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope outer;
   EXPECT_THROW({ TraceScope inner; }, dlbench::Error);
 }
 
 TEST(TraceTest, SpansAggregateIntoReport) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   for (int i = 0; i < 5; ++i) {
     Span span("unit.work", "test");
@@ -85,7 +78,6 @@ TEST(TraceTest, NullNamedSpanIsNoOp) {
 }
 
 TEST(TraceTest, CountersSumAndGaugesPeak) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   counter_add("c.items", 2);
   counter_add("c.items", 3);
@@ -110,7 +102,6 @@ TEST(TraceTest, CountersSumAndGaugesPeak) {
 }
 
 TEST(TraceTest, EventCapCountsDrops) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceOptions opts;
   opts.max_events_per_thread = 3;
   TraceScope scope(opts);
@@ -123,7 +114,6 @@ TEST(TraceTest, EventCapCountsDrops) {
 }
 
 TEST(TraceTest, InternReturnsStablePointer) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   const char* a = intern("layer/fwd/conv1");
   const char* b = intern("layer/fwd/conv1");
   EXPECT_EQ(a, b);
@@ -132,7 +122,6 @@ TEST(TraceTest, InternReturnsStablePointer) {
 }
 
 TEST(TraceTest, WorkerThreadSpansAreCollected) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -149,7 +138,6 @@ TEST(TraceTest, WorkerThreadSpansAreCollected) {
 }
 
 TEST(TraceTest, KernelSpansRecordedFromMatmul) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   util::Rng rng(7);
   tensor::Tensor a = tensor::Tensor::randn(tensor::Shape({8, 6}), rng);
@@ -166,7 +154,6 @@ TEST(TraceTest, KernelSpansRecordedFromMatmul) {
 }
 
 TEST(TraceTest, ChromeJsonIsWellFormed) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   {
     Span span("json.span", "test");
@@ -191,7 +178,6 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
 }
 
 TEST(TraceTest, WritesChromeJsonOnDestruction) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   const std::string path = ::testing::TempDir() + "/dlb_trace_test.json";
   std::remove(path.c_str());
   {
@@ -209,7 +195,6 @@ TEST(TraceTest, WritesChromeJsonOnDestruction) {
 }
 
 TEST(TraceTest, SummaryTableListsSpansAndCounters) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   TraceScope scope;
   { Span span("tbl.span", "test"); }
   counter_add("tbl.counter", 11);
@@ -241,7 +226,6 @@ TEST(TraceTest, OptionsFromEnvReadsKnobs) {
 // End-to-end: a harness cell armed via DLB_TRACE embeds a trace report
 // whose layer-span total approximates the measured training time.
 TEST(TraceTest, HarnessCellEmbedsTraceReport) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   ::setenv("DLB_TRACE", "1", 1);
   core::Harness harness(core::HarnessOptions::test_profile());
   core::RunRecord record = harness.run_default(
@@ -271,7 +255,6 @@ TEST(TraceTest, HarnessCellEmbedsTraceReport) {
 }
 
 TEST(TraceTest, DataParallelStepsShareTheTrainStepSpan) {
-  if (!compiled()) GTEST_SKIP() << "tracing compiled out";
   // Serial and data-parallel training run one loop, so a K-worker run
   // counts its optimizer steps under `train.step`, as Framework::train
   // does, and its reduces under `dp.reduces`.
