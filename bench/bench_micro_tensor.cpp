@@ -156,6 +156,55 @@ void BM_GemmNt(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNt)->Arg(256)->Arg(512)->UseRealTime();
 
+// TF-MNIST's fc1 dx GEMM in training: dy [50, 1024] x W^T with W
+// stored [3136, 1024] (matmul_nt: transposed-B packing, column split),
+// on 2 workers as perfbench's train_mnist runs it.
+void BM_MatmulNtFc1Dx(benchmark::State& state) {
+  const Device dev = Device::parallel(2);
+  util::Rng rng(9);
+  Tensor dy = Tensor::randn(Shape({50, 1024}), rng);
+  Tensor w = Tensor::randn(Shape({3136, 1024}), rng);
+  for (auto _ : state) {
+    Tensor dx = tensor::matmul_nt(dy, w, dev);
+    benchmark::DoNotOptimize(dx.raw());
+  }
+  set_rates(state, gemm_flops(50, 1024, 3136), gemm_bytes(50, 1024, 3136));
+}
+BENCHMARK(BM_MatmulNtFc1Dx)->UseRealTime();
+
+// One Adam step over the TF-MNIST parameter set (conv 5x5 1->32, conv
+// 5x5 32->64, fc 3136->1024, fc 1024->10, with biases: 3.27M floats),
+// on 2 workers.
+void BM_AdamStep(benchmark::State& state) {
+  const Device dev = Device::parallel(2);
+  util::Rng rng(10);
+  std::vector<Tensor> params, grads;
+  for (const Shape& shape :
+       {Shape({32, 25}), Shape({32}), Shape({64, 800}), Shape({64}),
+        Shape({3136, 1024}), Shape({1024}), Shape({1024, 10}), Shape({10})}) {
+    params.push_back(Tensor::randn(shape, rng));
+    grads.push_back(Tensor::randn(shape, rng, 0.f, 1e-3f));
+  }
+  std::vector<Tensor*> p, g;
+  double n = 0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    p.push_back(&params[i]);
+    g.push_back(&grads[i]);
+    n += static_cast<double>(params[i].numel());
+  }
+  optim::Adam adam(optim::LrSchedule(1e-4));
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    adam.step(p, g, step++, dev);
+    benchmark::DoNotOptimize(params[4].raw());
+    benchmark::ClobberMemory();
+  }
+  // ~12 flops per element (decay, two moments, sqrt, divide, update);
+  // p, g, m, v read and p, m, v written.
+  set_rates(state, 12.0 * n, 4.0 * 7.0 * n);
+}
+BENCHMARK(BM_AdamStep)->UseRealTime();
+
 // Conv at the Caffe-MNIST conv1 shape: 1->20, 5x5, 28x28 input.
 void BM_ConvGemmLenet1(benchmark::State& state) {
   const auto batch = state.range(0);

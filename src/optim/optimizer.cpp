@@ -149,7 +149,13 @@ void Adam::step(const std::vector<Tensor*>& params,
     float* v = v_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        // Captured by value: through by-reference captures GCC reloads
+        // the scalars via the closure every iteration and keeps the
+        // loop scalar (vsqrtss/vdivss). With -fno-math-errno on this
+        // target (CMakeLists.txt) it vectorizes; vector sqrt and divide
+        // round each lane as the scalar instructions do, so the bits are
+        // the same.
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const float gk = g[k] + wd * p[k];
             m[k] = b1 * m[k] + (1.f - b1) * gk;

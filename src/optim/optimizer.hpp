@@ -84,6 +84,11 @@ class Adam final : public Optimizer {
             const std::vector<Tensor*>& grads, std::int64_t step,
             const Device& dev) override;
 
+  /// First and second moment estimates, one per parameter (empty
+  /// before the first step).
+  const std::vector<Tensor>& first_moments() const { return m_; }
+  const std::vector<Tensor>& second_moments() const { return v_; }
+
  private:
   LrSchedule schedule_;
   double beta1_, beta2_, epsilon_, weight_decay_;

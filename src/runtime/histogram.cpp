@@ -25,6 +25,15 @@ std::string fmt_duration(double seconds) {
   return buf;
 }
 
+// Sum of two non-negative nanosecond totals, pinned at int64 max
+// instead of overflowing: samples near the top bucket (the clamp of a
+// 292-year duration) would otherwise wrap the exact sum. Pinning keeps
+// merge() commutative and associative (it is min(true sum, max)).
+std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
 }  // namespace
 
 LatencyHistogram::LatencyHistogram() {
@@ -57,7 +66,7 @@ void LatencyHistogram::record_ns(std::int64_t ns) {
     max_ns_ = std::max(max_ns_, ns);
   }
   ++count_;
-  sum_ns_ += ns;
+  sum_ns_ = saturating_add(sum_ns_, ns);
   ++buckets_[bucket_index(ns)];
 }
 
@@ -98,7 +107,7 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
     max_ns_ = std::max(max_ns_, other.max_ns_);
   }
   count_ += other.count_;
-  sum_ns_ += other.sum_ns_;
+  sum_ns_ = saturating_add(sum_ns_, other.sum_ns_);
   for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 

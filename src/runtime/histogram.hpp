@@ -96,7 +96,8 @@ class LatencyHistogram {
   std::int64_t count_ = 0;
   std::int64_t min_ns_ = 0;
   std::int64_t max_ns_ = 0;
-  /// Exact integer sum, so merged totals are order-independent.
+  /// Exact integer sum, so merged totals are order-independent;
+  /// saturates at int64 max rather than overflowing.
   std::int64_t sum_ns_ = 0;
 };
 

@@ -144,10 +144,7 @@ ModelServer::ModelServer(nn::FrozenModel model, ServerOptions options)
     next_slot_id_ = options_.replicas;
     // Threads start only after every Replica is constructed so the slot
     // vector is never resized while a worker runs.
-    for (auto& replica : replicas_)
-      replica->thread = std::thread([this, r = replica.get()] {
-        replica_loop(*r);
-      });
+    for (auto& replica : replicas_) start_locked(*replica);
   }
   if (options_.supervise)
     supervisor_ = std::thread([this] { supervisor_loop(); });
@@ -379,20 +376,34 @@ int ModelServer::replica_target() const {
   return static_cast<int>(replicas_.size());
 }
 
+void ModelServer::start_locked(Replica& replica) {
+  replica.thread = std::thread([this, &replica] {
+    replica_loop(replica);
+    replica.exited.store(true, std::memory_order_release);
+  });
+}
+
+void ModelServer::join_exited_locked() {
+  for (auto& replica : retired_)
+    if (replica->exited.load(std::memory_order_acquire) &&
+        replica->thread.joinable())
+      replica->thread.join();
+}
+
 void ModelServer::resize_replicas(int target) {
   DLB_CHECK(target >= 1, "resize_replicas target must be >= 1");
-  std::vector<Replica*> started;
   {
     std::lock_guard<std::mutex> fleet_lock(fleet_mu_);
+    join_exited_locked();
     const int current = static_cast<int>(replicas_.size());
     for (int i = current; i < target; ++i) {
       replicas_.push_back(std::make_unique<Replica>(model_, next_slot_id_++));
-      started.push_back(replicas_.back().get());
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++live_replicas_;
         all_dead_ = false;
       }
+      start_locked(*replicas_.back());
     }
     // Shrink from the highest slots: mark retiring and move to retired_
     // immediately so the supervisor never restarts them. The thread
@@ -406,8 +417,6 @@ void ModelServer::resize_replicas(int target) {
       retired_.push_back(std::move(slot));
     }
   }
-  for (Replica* replica : started)
-    replica->thread = std::thread([this, replica] { replica_loop(*replica); });
   cv_.notify_all();
 }
 
@@ -496,9 +505,10 @@ void ModelServer::supervisor_tick() {
                             ? static_cast<std::int64_t>(
                                   options_.stall_timeout_s * 1e9)
                             : std::int64_t{0};
-  std::vector<Replica*> started;
+  bool started = false;
   {
     std::lock_guard<std::mutex> fleet_lock(fleet_mu_);
+    join_exited_locked();
     for (auto& slot : replicas_) {
       Replica* replica = slot.get();
       if (replica->dead.load(std::memory_order_acquire)) {
@@ -508,13 +518,14 @@ void ModelServer::supervisor_tick() {
         auto fresh = std::make_unique<Replica>(model_, replica->slot);
         retired_.push_back(std::move(slot));
         slot = std::move(fresh);
-        started.push_back(slot.get());
         count(Event::kRestarts);
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++live_replicas_;
           all_dead_ = false;
         }
+        start_locked(*slot);
+        started = true;
         continue;
       }
       const std::int64_t busy_since =
@@ -528,14 +539,13 @@ void ModelServer::supervisor_tick() {
         auto fresh = std::make_unique<Replica>(model_, replica->slot);
         retired_.push_back(std::move(slot));
         slot = std::move(fresh);
-        started.push_back(slot.get());
+        start_locked(*slot);
+        started = true;
         count(Event::kStallsReplaced);
       }
     }
   }
-  for (Replica* replica : started)
-    replica->thread = std::thread([this, replica] { replica_loop(*replica); });
-  if (!started.empty()) cv_.notify_all();
+  if (started) cv_.notify_all();
 }
 
 void ModelServer::crash_exit(Replica& replica, std::vector<Dispatch>& batch) {

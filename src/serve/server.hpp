@@ -347,6 +347,8 @@ class ModelServer {
     /// Set by resize_replicas on scale-down: finish the current batch,
     /// then exit without taking another (retire-after-drain).
     std::atomic<bool> retiring{false};
+    /// Set by the thread as its last act: joining it is then immediate.
+    std::atomic<bool> exited{false};
     /// now_ns() when the current batch began; 0 = idle. The stall
     /// watchdog reads this.
     std::atomic<std::int64_t> busy_since_ns{0};
@@ -386,6 +388,14 @@ class ModelServer {
   /// counter move together, from any thread.
   void count(Event event, std::int64_t n = 1);
 
+  /// Starts `replica`'s thread. Caller holds fleet_mu_, so the thread
+  /// handle is set before any reaper can see the thread exit.
+  void start_locked(Replica& replica);
+  /// Joins every retired incarnation whose thread has returned, so its
+  /// stack is released now rather than at ~ModelServer. The Replica
+  /// stays in retired_: stats() still reads its counts and latencies.
+  /// Caller holds fleet_mu_.
+  void join_exited_locked();
   void replica_loop(Replica& replica);
   void process_batch(Replica& replica, nn::StepPlanner& planner,
                      std::vector<Dispatch>& batch, std::int64_t batch_ordinal);

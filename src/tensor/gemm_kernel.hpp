@@ -62,13 +62,23 @@ enum class GemmEpilogue {
 /// n*b_cs], C is written dense row-major [M, N]. `bias` must have N
 /// entries for the column epilogues, M entries for the row epilogues,
 /// and may be null for kNone. Parallelizes over macro-tiles of C via
-/// `dev`; bitwise-deterministic for any worker count. Under kAccumulate
-/// C must hold the chain's running value on entry.
+/// `dev`, split by rows or by columns as gemm_splits_columns says;
+/// bitwise-deterministic for any worker count and either split. Under
+/// kAccumulate C must hold the chain's running value on entry.
 void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                  GemmEpilogue epilogue, const float* bias,
                  const runtime::Device& dev);
+
+/// Whether gemm_packed splits an (m, k, n) GEMM over column blocks of B
+/// (each worker packs its own ~1 MiB block and runs every row panel
+/// against it) rather than over row panels of C (workers share one
+/// packed B). True when B is the wider operand, more padded columns
+/// than A has padded rows, and its packed panels exceed one block: the
+/// fc forward and dx GEMMs of a batch-50 3136x1024 layer, not its dW
+/// (m = 3136, k = 50). The pre-packed entry points always split rows.
+bool gemm_splits_columns(std::int64_t m, std::int64_t k, std::int64_t n);
 
 /// gemm_packed with B already packed by pack_b_panels (`b_panels` holds
 /// gemm_col_panels(n) * k * kGemmNR floats); only A is packed per call.

@@ -49,4 +49,12 @@ void pack_b_panels(const float* b, std::int64_t row_stride,
                    std::int64_t col_stride, std::int64_t k, std::int64_t n,
                    float* dst, const runtime::Device& dev);
 
+/// Packs column panels [p0, p1) of B into `dst` ((p1 - p0) * K * NR
+/// floats), on the calling thread: the panels pack_b_panels would write
+/// at dst + p * K * NR. One worker's block of gemm_packed's column split.
+void pack_b_panel_range(const float* b, std::int64_t row_stride,
+                        std::int64_t col_stride, std::int64_t k,
+                        std::int64_t n, std::int64_t p0, std::int64_t p1,
+                        float* dst);
+
 }  // namespace dlbench::tensor

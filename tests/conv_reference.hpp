@@ -7,14 +7,60 @@
 // position, zero where the tap falls in the padding. Per kernel column
 // the in-image output range is hoisted, so each image row is a copy
 // (im2col) or an add loop (col2im) over one run.
+//
+// Also the GEMM fma-chain oracle: every output element as the one
+// ascending-k chain the GEMM determinism contract (gemm_kernel.hpp)
+// promises, rounded as the active tier rounds.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "runtime/device.hpp"
 #include "tensor/conv.hpp"
+#include "tensor/gemm_kernel.hpp"
 
 namespace dlbench::tensor {
+
+// Whether the active GEMM tier fuses each step. The rounding contract
+// (DESIGN.md §11) lets the portable scalar kernel round the product on
+// its own where the compiler does not contract it (a target without
+// FMA, or an instrumented sanitizer build); the chain order is the same
+// either way. Read off a two-step chain c + a*a whose fused and
+// separately rounded results differ (2^-24 versus 0).
+inline bool gemm_fuses() {
+  const float a = 1.f + 0x1p-12f;
+  const float lhs[] = {1.f, a};
+  const float rhs[] = {-(1.f + 0x1p-11f), a};
+  float out = 0.f;
+  gemm_packed(lhs, 2, 1, rhs, 1, 1, &out, 1, 2, 1, GemmEpilogue::kNone,
+              nullptr, runtime::Device::cpu());
+  return out != 0.f;
+}
+
+/// C = A * B for row-major A [m, k] and B [k, n], each element the chain
+/// acc = c[i, j] (the chain's start, overwritten with its end); for p =
+/// 0..k-1 in order: acc = acc + A(i, p) * B(p, j), one fma per step when
+/// `fused`, a separately rounded product otherwise.
+inline void gemm_chain_oracle(const float* a, const float* b, float* c,
+                              std::int64_t m, std::int64_t k, std::int64_t n,
+                              bool fused) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* acc = c + i * n;
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      const float* brow = b + p * n;
+      for (std::int64_t j = 0; j < n; ++j)
+        // The double product of two floats is exact, so the cast rounds
+        // it once, and no compiler can fuse it into the add.
+        acc[j] = fused ? std::fma(av, brow[j], acc[j])
+                       : acc[j] + static_cast<float>(
+                                      static_cast<double>(av) * brow[j]);
+    }
+  }
+}
 
 namespace reference_detail {
 

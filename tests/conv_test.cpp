@@ -195,22 +195,6 @@ TEST(ConvBackward, SerialAndParallelAgree) {
   }
 }
 
-// Whether the active GEMM tier fuses each step. The rounding contract
-// (DESIGN.md §11) lets the portable scalar kernel round the product on
-// its own where the compiler does not contract it (a target without
-// FMA, or an instrumented sanitizer build); the chain order is the same
-// either way. Read off a two-step chain c + a*a whose fused and
-// separately rounded results differ (2^-24 versus 0).
-bool gemm_fuses() {
-  const float a = 1.f + 0x1p-12f;
-  const float lhs[] = {1.f, a};
-  const float rhs[] = {-(1.f + 0x1p-11f), a};
-  float out = 0.f;
-  gemm_packed(lhs, 2, 1, rhs, 1, 1, &out, 1, 2, 1, GemmEpilogue::kNone,
-              nullptr, Device::cpu());
-  return out != 0.f;
-}
-
 // The contract conv2d_backward documents, spelled out: dW[oc, p] is
 // the multiply-add chain over k = (sample, position) ascending, and
 // db[oc] the add chain in the same order.

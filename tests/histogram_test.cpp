@@ -190,6 +190,31 @@ TEST(LatencyHistogram, PowersOfTwoBucketBoundaries) {
   EXPECT_EQ(h.count(), static_cast<std::int64_t>(samples.size()));
 }
 
+// The PowersOfTwoBucketBoundaries samples sum to 3 * (2^62 - 1), past
+// int64's range: the total saturates at int64 max (signed overflow is
+// undefined), and merging two saturated histograms stays there.
+TEST(LatencyHistogram, TotalSaturatesInsteadOfOverflowing) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  LatencyHistogram h;
+  std::int64_t n = 0;
+  for (int bit = 0; bit < 62; ++bit) {
+    const std::int64_t v = std::int64_t{1} << bit;
+    for (const std::int64_t s : {v - 1, v, v + 1}) {
+      h.record_ns(s);
+      ++n;
+    }
+  }
+  const double max_s = 1e-9 * static_cast<double>(kMax);
+  EXPECT_EQ(h.total_s(), max_s);
+  EXPECT_EQ(h.mean_s(), max_s / static_cast<double>(n));
+  LatencyHistogram merged = h;
+  merged.merge(h);
+  EXPECT_EQ(merged.count(), 2 * n);
+  EXPECT_EQ(merged.total_s(), max_s);
+  h.record_ns(kMax);
+  EXPECT_EQ(h.total_s(), max_s);
+}
+
 TEST(LatencyHistogram, MeanAndTotalAreExact) {
   // Sums are kept as exact integers, not bucket approximations.
   LatencyHistogram h;

@@ -3,8 +3,9 @@
 // against the direct reference implementation, each across a large set
 // of randomized shapes; im2col/col2im against per-element oracles; the
 // pre-packed GEMM entry points and K-blocked kAccumulate chains against
-// gemm_packed; plus determinism checks (serial vs threaded, and
-// run-to-run under threads).
+// gemm_packed; gemm_packed's row and column splits against the fma-chain
+// oracle; plus determinism checks (serial vs threaded, and run-to-run
+// under threads).
 
 #include <gtest/gtest.h>
 
@@ -846,6 +847,139 @@ TEST(KernelDiffTest, FusedMatmulBiasIsThreadCountDeterministic) {
         expect_bitwise_equal(matmul_bias_relu(a, b, bias, dev), want_relu,
                              "matmul_bias_relu " + tag);
       }
+    }
+  }
+}
+
+// [r, c] -> [c, r], an exact copy.
+Tensor transposed(const Tensor& x) {
+  const std::int64_t r = x.dim(0), c = x.dim(1);
+  Tensor t = Tensor::uninit(Shape({c, r}));
+  for (std::int64_t i = 0; i < r; ++i)
+    for (std::int64_t j = 0; j < c; ++j) t.data()[j * r + i] = x.at(i * c + j);
+  return t;
+}
+
+// gemm_packed splits a GEMM whose B is the wide operand over column
+// blocks of B (each worker packs its own block), and any other over row
+// panels of C. Either way each C element must be the fma-chain oracle's
+// chain bit for bit, on 1-4 workers. The shapes are a batch-50
+// 3136 -> 1024 fc layer's forward (x W), dx (dy W^T, B transposed) and
+// dW (x^T dy, A transposed: the tall shape that keeps the row split),
+// plus N = 1000, whose last column block and last panel are partial.
+TEST(KernelDiffTest, ColumnAndRowSplitsBitwiseMatchFmaChainOracle) {
+  struct Case {
+    std::int64_t m, k, n;
+    bool a_transposed, b_transposed, splits_columns;
+    const char* name;
+  };
+  const Case cases[] = {
+      {50, 3136, 1024, false, false, true, "fc forward"},
+      {50, 1024, 3136, false, true, true, "fc dx"},
+      {3136, 50, 1024, true, false, false, "fc dW"},
+      {50, 3136, 1000, false, false, true, "ragged N"},
+  };
+  const GemmEpilogue eps[] = {
+      GemmEpilogue::kNone,        GemmEpilogue::kBiasColAdd,
+      GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
+      GemmEpilogue::kBiasRowRelu, GemmEpilogue::kAccumulate};
+  const bool fused = gemm_fuses();
+  util::Rng rng(2424);
+  for (const Case& cs : cases) {
+    const std::int64_t m = cs.m, k = cs.k, n = cs.n;
+    EXPECT_EQ(gemm_splits_columns(m, k, n), cs.splits_columns) << cs.name;
+    // Row-major A [m, k] and B [k, n] for the oracle; the GEMM reads
+    // them through the strides of the layer's storage.
+    Tensor a = Tensor::randn(Shape({m, k}), rng);
+    Tensor b = Tensor::randn(Shape({k, n}), rng);
+    Tensor a_store = cs.a_transposed ? transposed(a) : a.clone();
+    Tensor b_store = cs.b_transposed ? transposed(b) : b.clone();
+    const std::int64_t a_rs = cs.a_transposed ? 1 : k;
+    const std::int64_t a_cs = cs.a_transposed ? m : 1;
+    const std::int64_t b_rs = cs.b_transposed ? 1 : n;
+    const std::int64_t b_cs = cs.b_transposed ? k : 1;
+    Tensor bias_col = Tensor::randn(Shape({n}), rng);
+    Tensor bias_row = Tensor::randn(Shape({m}), rng);
+    Tensor c_start = Tensor::randn(Shape({m, n}), rng);
+    // The three chain starts: zero, the row bias, C on entry.
+    Tensor zero_chain(Shape({m, n}));
+    Tensor row_chain = Tensor::uninit(Shape({m, n}));
+    for (std::int64_t i = 0; i < m; ++i)
+      std::fill(row_chain.raw() + i * n, row_chain.raw() + (i + 1) * n,
+                bias_row.at(i));
+    Tensor acc_chain = c_start.clone();
+    for (Tensor* chain : {&zero_chain, &row_chain, &acc_chain})
+      gemm_chain_oracle(a.raw(), b.raw(), chain->raw(), m, k, n, fused);
+    for (const GemmEpilogue ep : eps) {
+      Tensor want = ep == GemmEpilogue::kAccumulate ? acc_chain.clone()
+                    : ep == GemmEpilogue::kBiasRowInit ||
+                            ep == GemmEpilogue::kBiasRowRelu
+                        ? row_chain.clone()
+                        : zero_chain.clone();
+      const bool col = ep == GemmEpilogue::kBiasColAdd ||
+                       ep == GemmEpilogue::kBiasColRelu;
+      const bool relu = ep == GemmEpilogue::kBiasColRelu ||
+                        ep == GemmEpilogue::kBiasRowRelu;
+      for (std::int64_t i = 0; i < m * n; ++i) {
+        float& w = want.data()[i];
+        if (col) w += bias_col.at(i % n);
+        if (relu) w = w > 0.f ? w : 0.f;
+      }
+      const float* bias = col ? bias_col.raw()
+                          : ep == GemmEpilogue::kBiasRowInit ||
+                                  ep == GemmEpilogue::kBiasRowRelu
+                              ? bias_row.raw()
+                              : nullptr;
+      for (const int workers : {1, 2, 3, 4}) {
+        const Device dev =
+            workers == 1 ? Device::cpu() : Device::parallel(workers);
+        Tensor got = c_start.clone();
+        gemm_packed(a_store.raw(), a_rs, a_cs, b_store.raw(), b_rs, b_cs,
+                    got.raw(), m, k, n, ep, bias, dev);
+        expect_bitwise_equal(got, want,
+                             std::string(cs.name) + " ep=" +
+                                 std::to_string(static_cast<int>(ep)) +
+                                 " workers=" + std::to_string(workers));
+      }
+    }
+  }
+}
+
+// Transposed-B packing (matmul_nt's W^T) runs in k tiles; its panels
+// must equal the packing layout element by element (B(k, 16p + j), zero
+// past n), for k around and off the tile size, for panels narrower than
+// 16 columns, whole and as a panel range.
+TEST(KernelDiffTest, TiledTransposedPackMatchesPanelLayout) {
+  util::Rng rng(2525);
+  for (const std::int64_t k : {1L, 5L, 63L, 64L, 65L, 130L, 200L}) {
+    for (const std::int64_t n : {1L, 7L, 15L, 16L, 17L, 40L}) {
+      Tensor bt = Tensor::randn(Shape({n, k}), rng);  // B^T storage
+      const std::int64_t panels = gemm_col_panels(n);
+      std::vector<float> want(static_cast<std::size_t>(panels * k * kGemmNR));
+      for (std::int64_t p = 0; p < panels; ++p)
+        for (std::int64_t kk = 0; kk < k; ++kk)
+          for (std::int64_t j = 0; j < kGemmNR; ++j) {
+            const std::int64_t col = p * kGemmNR + j;
+            want[static_cast<std::size_t>((p * k + kk) * kGemmNR + j)] =
+                col < n ? bt.at(col * k + kk) : 0.f;
+          }
+      const std::string what =
+          "k=" + std::to_string(k) + " n=" + std::to_string(n);
+      for (const int workers : {1, 3}) {
+        const Device dev =
+            workers == 1 ? Device::cpu() : Device::parallel(workers);
+        std::vector<float> got(want.size(), -1.f);
+        pack_b_panels(bt.raw(), 1, k, k, n, got.data(), dev);
+        EXPECT_EQ(got, want) << what << " workers=" << workers;
+      }
+      // The last panel alone, as one column-split block packs it.
+      std::vector<float> tail(static_cast<std::size_t>(k * kGemmNR), -1.f);
+      pack_b_panel_range(bt.raw(), 1, k, k, n, panels - 1, panels,
+                         tail.data());
+      EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                             want.end() - static_cast<std::ptrdiff_t>(
+                                              tail.size())))
+          << what << " last panel";
     }
   }
 }

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "optim/optimizer.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dlbench::optim {
 namespace {
@@ -102,6 +104,49 @@ TEST(Adam, ConvergesOnQuadraticFasterThanItDiverges) {
     adam.step({&w}, {&g}, step, Device::cpu());
   }
   EXPECT_NEAR(w.at(0), 3.f, 0.05f);
+}
+
+// CRC-32 of the parameters and both moments after five steps on seeded
+// gradients, captured from the scalar update loop at 7d176d5: the
+// vectorized loop (vector sqrt and divide, a scalar remainder) must give
+// the same bits. Lengths below, around and above one vector (1, 15, 17)
+// and one past a 4096-element parallel grain, so a 2-worker split starts
+// mid-vector; weight decay off and on.
+TEST(Adam, UpdateBitsAreStable) {
+  const std::uint32_t want[] = {0x124739c3u, 0x4936c376u};
+  for (const int wd_on : {0, 1}) {
+    for (const int workers : {1, 2}) {
+      util::Rng rng(2626);
+      std::vector<Tensor> params, grads;
+      for (const std::int64_t len : {1, 15, 17, 4097}) {
+        params.push_back(Tensor::randn(Shape({len}), rng));
+        grads.emplace_back(Shape({len}));
+      }
+      std::vector<Tensor*> p, g;
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        p.push_back(&params[i]);
+        g.push_back(&grads[i]);
+      }
+      Adam adam(LrSchedule(1e-3), 0.9, 0.999, 1e-8, wd_on ? 5e-4 : 0.0);
+      const Device dev =
+          workers == 1 ? Device::cpu() : Device::parallel(workers);
+      for (std::int64_t step = 0; step < 5; ++step) {
+        for (Tensor& grad : grads) grad = Tensor::randn(grad.shape(), rng);
+        adam.step(p, g, step, dev);
+      }
+      std::uint32_t crc = 0;
+      const std::vector<Tensor>* groups[] = {
+          &params, &adam.first_moments(), &adam.second_moments()};
+      for (const auto* group : groups)
+        for (const Tensor& t : *group)
+          crc = util::crc32_update(
+              crc, t.raw(),
+              static_cast<std::size_t>(t.numel()) * sizeof(float));
+      EXPECT_EQ(crc, want[wd_on])
+          << std::hex << "crc 0x" << crc << " weight decay " << wd_on
+          << " workers " << workers;
+    }
+  }
 }
 
 TEST(Adam, RejectsBadHyperparameters) {

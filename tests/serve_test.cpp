@@ -8,9 +8,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -402,6 +410,89 @@ TEST(ModelServer, RetiredReplicasUnmapTheirPlanArenas) {
     EXPECT_EQ(total(Event::kMappedBytes), expected);
   }
   EXPECT_EQ(total(Event::kMappedBytes), baseline);
+}
+
+#if defined(__linux__)
+std::int64_t tasks_now() {
+  std::int64_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Writable mappings exactly `bytes` long. glibc maps each thread's
+// stack once (a guard page, then the stack) and keeps a joined thread's
+// mapping to reuse for the next thread; an unjoined exited thread keeps
+// its own.
+std::int64_t mappings_of_size(std::size_t bytes) {
+  std::ifstream maps("/proc/self/maps");
+  std::int64_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    unsigned long lo = 0, hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3 &&
+        hi - lo == bytes && perms[0] == 'r' && perms[1] == 'w')
+      ++n;
+  }
+  return n;
+}
+#endif
+
+// A retired incarnation is joined once its thread has returned, not at
+// ~ModelServer. The kernel drops an exited thread's task either way, but
+// an unjoined thread keeps its stack mapped, so each 1 -> 4 -> 1 cycle
+// used to map three more stacks; joined stacks are reused by the next
+// cycle's threads. (The address-space total is no measure under ASan,
+// whose allocator quarantine grows it regardless.)
+TEST(ModelServer, RetiredReplicaThreadsAreJoined) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self";
+#else
+  PredictorConfig config;
+  ServerOptions opts;
+  opts.sample_shape = dlbench::frameworks::sample_shape(DatasetId::kMnist);
+  opts.replicas = 1;
+  opts.max_batch = 8;
+  ModelServer server(make_predictor(config), opts);
+  const auto samples = random_samples(opts.sample_shape, 8, 55);
+  const auto serve_phase = [&] {
+    std::vector<std::future<Prediction>> futures;
+    for (int i = 0; i < 400; ++i)
+      futures.push_back(server.submit(samples[i % samples.size()]));
+    for (auto& future : futures)
+      ASSERT_EQ(future.get().status, RequestStatus::kOk);
+  };
+  serve_phase();
+  const std::int64_t staffed = tasks_now();
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  ASSERT_GT(stack_bytes, 0u);
+  std::int64_t stacks_after_first = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    server.resize_replicas(4);
+    serve_phase();
+    server.resize_replicas(1);
+    serve_phase();
+    // The three retired threads exit after their last batch; poll,
+    // bounded.
+    std::int64_t tasks = tasks_now();
+    for (int i = 0; i < 2000 && tasks != staffed; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      tasks = tasks_now();
+    }
+    ASSERT_EQ(tasks, staffed) << "cycle " << cycle;
+    if (cycle == 0) stacks_after_first = mappings_of_size(stack_bytes);
+  }
+  // Two more cycles started six threads. Joined, they reuse the stacks
+  // the first cycle's threads left; unjoined, each maps its own.
+  EXPECT_EQ(mappings_of_size(stack_bytes), stacks_after_first);
+#endif
 }
 
 TEST(ModelServer, EmitsServeSpansAndCounters) {
