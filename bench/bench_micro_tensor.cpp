@@ -138,6 +138,53 @@ void BM_GemmPrepackedB(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPrepackedB)->Arg(1)->Arg(8)->UseRealTime();
 
+// GEMMs whose edge tiles (a last row panel with fewer than 6 live rows,
+// a lone or partial column panel) carry much of the work, one thread:
+// Args are {m, k, n, conv}. conv = 1 runs gemm_prepacked on pre-packed
+// panels with the row-bias epilogue, as a conv forward does per sample
+// (TF conv2 64x800x196, Caffe conv1 20x25x576); conv = 0 runs
+// gemm_packed with the column-bias epilogue, as a dense forward does
+// (Caffe fc1 800->500 at M = 1 and 10, crafting's batch-1 pass and
+// Jacobian; TF fc1 at M = 50).
+void BM_GemmEdgeTiles(benchmark::State& state) {
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  const bool conv = state.range(3) != 0;
+  const Device dev = Device::cpu();
+  util::Rng rng(11);
+  Tensor a = Tensor::randn(Shape({m, k}), rng);
+  Tensor b = Tensor::randn(Shape({k, n}), rng);
+  Tensor bias = Tensor::randn(Shape({conv ? m : n}), rng);
+  Tensor c = Tensor::uninit(Shape({m, n}));
+  std::vector<float> pa(
+      static_cast<std::size_t>(tensor::gemm_row_panels(m) * tensor::kGemmMR * k));
+  std::vector<float> pb(
+      static_cast<std::size_t>(tensor::gemm_col_panels(n) * tensor::kGemmNR * k));
+  tensor::pack_a_panels(a.raw(), k, 1, m, k, pa.data(), dev);
+  tensor::pack_b_panels(b.raw(), n, 1, k, n, pb.data(), dev);
+  for (auto _ : state) {
+    if (conv)
+      tensor::gemm_prepacked(pa.data(), pb.data(), c.raw(), n, m, k, n,
+                             tensor::GemmEpilogue::kBiasRowInit, bias.raw(),
+                             dev);
+    else
+      tensor::gemm_packed(a.raw(), k, 1, b.raw(), n, 1, c.raw(), m, k, n,
+                          tensor::GemmEpilogue::kBiasColAdd, bias.raw(), dev);
+    benchmark::DoNotOptimize(c.raw());
+    benchmark::ClobberMemory();
+  }
+  const auto dm = static_cast<double>(m), dk = static_cast<double>(k),
+             dn = static_cast<double>(n);
+  set_rates(state, gemm_flops(dm, dk, dn), gemm_bytes(dm, dk, dn));
+}
+BENCHMARK(BM_GemmEdgeTiles)
+    ->Args({64, 800, 196, 1})
+    ->Args({20, 25, 576, 1})
+    ->Args({1, 800, 500, 0})
+    ->Args({10, 800, 500, 0})
+    ->Args({50, 3136, 1024, 0})
+    ->UseRealTime();
+
 // Square A * B^T through the packed kernel (the backward-pass dgrad
 // shape: dx = dy * W^T with W stored [in, out] transposed access).
 // Routed onto gemm_packed in this PR; the perf_smoke floor pins it.

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Quick performance smoke test for the packed SIMD GEMM / conv kernels
-# (DESIGN.md §11): runs the GEMM, conv forward and conv backward
-# (dx + the K-blocked dW chain) microbenchmarks for a couple of seconds and fails if any throughput falls more than 30%
+# (DESIGN.md §11): runs the GEMM (square, transposed-B, and serving's
+# batch-1/8 fc1 on pre-packed weights), conv forward and conv backward
+# (dx + the K-blocked dW chain) microbenchmarks for a couple of seconds
+# and fails if any throughput falls more than 30%
 # below the checked-in floor (scripts/perf_floor.txt, GFLOP/s recorded
 # on the reference CI box in a deliberately slow phase — the gate
 # catches real regressions such as a de-vectorized kernel or a spilled
@@ -27,7 +29,7 @@ fi
 JSON="$(mktemp)"
 SCALAR_JSON="$(mktemp)"
 trap 'rm -f "$JSON" "$SCALAR_JSON"' EXIT
-"$BENCH" --benchmark_filter='Gemm(Packed|Nt)|ConvGemmLenet1|ConvForward|ConvBackward' \
+"$BENCH" --benchmark_filter='Gemm(Packed|Nt|PrepackedB)|ConvGemmLenet1|ConvForward|ConvBackward' \
          --benchmark_min_time=0.15 \
          --benchmark_format=json >"$JSON"
 DLB_SIMD=scalar "$BENCH" --benchmark_filter='GemmPacked/384' \

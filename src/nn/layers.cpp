@@ -108,9 +108,10 @@ Tensor Linear::backward(const Tensor& dy, const Context& ctx) {
   DLB_CHECK(!cached_input_.empty(), "Linear::backward before forward");
   cotangent_blocks(dy, cached_input_.dim(0), ctx);
   if (ctx.param_grads) {
-    // dW[in, out] = x^T [in, N] * dy [N, out]
-    Tensor dw = tensor::matmul_tn(cached_input_, dy, ctx.device);
-    tensor::add_inplace(dweight_, dw, ctx.device);
+    // dW[in, out] += x^T [in, N] * dy [N, out], straight into the
+    // gradient: on the zeroed gradient of a step's one backward this is
+    // the bits of a fresh product added to zero.
+    tensor::matmul_tn_accumulate(cached_input_, dy, dweight_, ctx.device);
     Tensor db = tensor::column_sums(dy, ctx.device);
     tensor::add_inplace(dbias_, db, ctx.device);
   }
@@ -164,8 +165,7 @@ Tensor LinearReLU::backward(const Tensor& dy, const Context& ctx) {
     return tensor::relu_backward(cached_output_, b, ctx.device);
   });
   if (ctx.param_grads) {
-    Tensor dw = tensor::matmul_tn(cached_input_, dz, ctx.device);
-    tensor::add_inplace(dweight_, dw, ctx.device);
+    tensor::matmul_tn_accumulate(cached_input_, dz, dweight_, ctx.device);
     Tensor db = tensor::column_sums(dz, ctx.device);
     tensor::add_inplace(dbias_, db, ctx.device);
   }

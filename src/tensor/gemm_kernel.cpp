@@ -73,29 +73,31 @@ void micro_kernel_scalar(const float* a_panel, const float* b_panel,
 
 namespace {
 
-// The single-panel kernel for the active tier, plus (when the tier has
-// them) wider kernels the driver prefers for full interior tiles. They
-// are pure throughput optimizations — bitwise identical to the
-// equivalent single-panel calls.
+// The active tier's micro-kernels by tile shape: kernel[r][c] computes
+// r+1 row panels x c+1 column panels, (6 r + 6) x (16 c + 16). The
+// AVX-512 tier has all four (`span` 2); the scalar and AVX2 tiers have
+// only the single 6x16 kernel (`span` 1). The wide kernels are pure
+// throughput optimizations, bitwise identical to the equivalent
+// single-panel calls.
 struct SelectedKernels {
-  MicroKernelFn single;
-  MicroKernelFn x2;    // MR x 2*NR; nullptr when the tier has none
-  MicroKernelFn quad;  // 2*MR x 2*NR; nullptr when the tier has none
+  MicroKernelFn kernel[2][2];
+  std::int64_t span;  // most panels one tile covers along either axis
 };
 
 SelectedKernels select_micro_kernel() {
   const runtime::SimdLevel level = runtime::active_simd_level();
 #if defined(DLB_HAVE_AVX512_BUILD)
   if (level == runtime::SimdLevel::kAvx512F)
-    return {micro_kernel_avx512, micro_kernel_avx512_x2,
-            micro_kernel_avx512_2x2};
+    return {{{micro_kernel_avx512, micro_kernel_avx512_x2},
+             {micro_kernel_avx512_2x1, micro_kernel_avx512_2x2}},
+            2};
 #endif
 #if defined(DLB_HAVE_AVX2_BUILD)
   if (level == runtime::SimdLevel::kAvx2Fma)
-    return {micro_kernel_avx2fma, nullptr, nullptr};
+    return {{{micro_kernel_avx2fma, nullptr}, {nullptr, nullptr}}, 1};
 #endif
   (void)level;
-  return {micro_kernel_scalar, nullptr, nullptr};
+  return {{{micro_kernel_scalar, nullptr}, {nullptr, nullptr}}, 1};
 }
 
 }  // namespace
@@ -145,121 +147,75 @@ struct TileJob {
   const float* bias;
 };
 
+// `full` bias entries starting at `src`, of which the first `live` are
+// real: `src` itself when all are, else a copy zero-padded in `pad`.
+const float* padded_bias(const float* src, std::int64_t live,
+                         std::int64_t full, float* pad) {
+  if (live == full) return src;
+  std::copy(src, src + live, pad);
+  std::fill(pad + live, pad + full, 0.f);
+  return pad;
+}
+
 // Computes every C tile in row panels [mp_lo, mp_hi) x column panels
 // [np0, np1). `pb` holds packed panels np0..np1-1 back to back. Each
-// tile is one micro-kernel chain over the whole K, whichever worker
-// and whichever split runs it (see the determinism contract in the
-// header).
+// step takes up to `span` row panels and up to `span` column panels and
+// runs the kernel of exactly that shape, so an edge (a lone last row
+// or column panel, or one with few live rows or columns) stays on a
+// wide kernel. A tile with dead rows or columns runs into the 12 x 32
+// `stage` tile, which kAccumulate first fills with the live part of C
+// (zeros elsewhere), with the bias zero-padded, and only its live
+// mr x nr part is copied out. Each C element is one micro-kernel chain
+// over the whole K, whichever kernel, worker and split runs it (see the
+// determinism contract in the header); the grouping depends on the
+// range bounds, hence on the thread count, but never the bits.
 void run_tiles(const TileJob& job, std::int64_t mp_lo, std::int64_t mp_hi,
                std::int64_t np0, std::int64_t np1, const float* pb) {
+  constexpr std::int64_t kTileRows = 2 * kGemmMR, kTileCols = 2 * kGemmNR;
   const std::int64_t m = job.m, k = job.k, n = job.n, ldc = job.ldc;
   const GemmEpilogue epilogue = job.epilogue;
-  const float* bias = job.bias;
   const detail::SelectedKernels kernels = detail::select_micro_kernel();
-  const detail::MicroKernelFn micro = kernels.single;
-  const detail::MicroKernelFn micro_x2 = kernels.x2;
-  const detail::MicroKernelFn micro_2x2 = kernels.quad;
   const bool row_bias = epilogue == GemmEpilogue::kBiasRowInit ||
                         epilogue == GemmEpilogue::kBiasRowRelu;
   const bool col_bias = epilogue == GemmEpilogue::kBiasColAdd ||
                         epilogue == GemmEpilogue::kBiasColRelu;
-  const bool accumulate = epilogue == GemmEpilogue::kAccumulate;
-  auto b_panel = [&](std::int64_t np) { return pb + (np - np0) * k * kGemmNR; };
-
-  float tmp[kGemmMR * kGemmNR];
-  float bias_row_pad[kGemmMR];
-  float bias_col_pad[kGemmNR];
-  // Row bias for the MR rows from m0: straight from `bias` on a full
-  // panel, zero-padded on the edge panel.
-  auto row_bias_at = [&](std::int64_t m0) -> const float* {
-    if (!row_bias) return nullptr;
-    if (m0 + kGemmMR <= m) return bias + m0;
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      bias_row_pad[r] = m0 + r < m ? bias[m0 + r] : 0.f;
-    return bias_row_pad;
-  };
-  // One 6x16 tile at (m0, panel np). Full tiles run in place; edge
-  // tiles run in `tmp`, which kAccumulate first fills with the live
-  // part of C (zeros elsewhere), and copy out only the live mr x nr
-  // region.
-  auto single_tile = [&](const float* a_panel, std::int64_t m0,
-                         std::int64_t np, const float* brow) {
-    const std::int64_t n0 = np * kGemmNR;
-    const std::int64_t mr = std::min(kGemmMR, m - m0);
-    const std::int64_t nr = std::min(kGemmNR, n - n0);
-    const float* bcol = nullptr;
-    if (col_bias) {
-      if (nr == kGemmNR) {
-        bcol = bias + n0;
-      } else {
-        for (std::int64_t j = 0; j < kGemmNR; ++j)
-          bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
-        bcol = bias_col_pad;
-      }
-    }
-    float* ct = job.c + m0 * ldc + n0;
-    if (mr == kGemmMR && nr == kGemmNR) {
-      micro(a_panel, b_panel(np), k, ct, ldc, epilogue, brow, bcol);
-      return;
-    }
-    if (accumulate) {
-      std::fill(tmp, tmp + kGemmMR * kGemmNR, 0.f);
-      for (std::int64_t r = 0; r < mr; ++r)
-        std::memcpy(tmp + r * kGemmNR, ct + r * ldc,
-                    static_cast<std::size_t>(nr) * sizeof(float));
-    }
-    micro(a_panel, b_panel(np), k, tmp, kGemmNR, epilogue, brow, bcol);
-    for (std::int64_t r = 0; r < mr; ++r)
-      std::memcpy(ct + r * ldc, tmp + r * kGemmNR,
-                  static_cast<std::size_t>(nr) * sizeof(float));
-  };
+  float stage[kTileRows * kTileCols];
+  float bias_row_pad[kTileRows];
+  float bias_col_pad[kTileCols];
   for (std::int64_t mp = mp_lo; mp < mp_hi;) {
+    const std::int64_t rows = std::min(kernels.span, mp_hi - mp);
     const std::int64_t m0 = mp * kGemmMR;
-    const float* a_panel = job.pa + mp * k * kGemmMR;
-    // Full interior pair of row panels: the quad kernel (when the tier
-    // has one) covers both against each streamed-in B panel pair,
-    // halving packed-B re-reads. Like column pairing, this only
-    // regroups whole tiles — per-element accumulation chains are
-    // untouched — so it is bitwise neutral, even though chunk
-    // boundaries make the pairing itself depend on the thread count.
-    if (micro_2x2 != nullptr && mp + 2 <= mp_hi && m0 + 2 * kGemmMR <= m) {
-      const float* brow2 = row_bias ? bias + m0 : nullptr;
-      std::int64_t np = np0;
-      for (; np + 2 <= np1 && (np + 2) * kGemmNR <= n; np += 2) {
-        micro_2x2(a_panel, b_panel(np), k, job.c + m0 * ldc + np * kGemmNR,
-                  ldc, epilogue, brow2,
-                  col_bias ? bias + np * kGemmNR : nullptr);
-      }
-      // Leftover column panel (or edge): one single-panel call per row
-      // panel.
-      for (; np < np1; ++np) {
-        single_tile(a_panel, m0, np, brow2);
-        single_tile(a_panel + k * kGemmMR, m0 + kGemmMR, np,
-                    row_bias ? bias + m0 + kGemmMR : nullptr);
-      }
-      mp += 2;
-      continue;
-    }
-    const float* brow = row_bias_at(m0);
-    const bool full_rows = m0 + kGemmMR <= m;
+    const std::int64_t mr = std::min(rows * kGemmMR, m - m0);
+    const float* brow =
+        row_bias ? padded_bias(job.bias + m0, mr, rows * kGemmMR, bias_row_pad)
+                 : nullptr;
     for (std::int64_t np = np0; np < np1;) {
+      const std::int64_t cols = std::min(kernels.span, np1 - np);
       const std::int64_t n0 = np * kGemmNR;
-      // Full interior pair of column panels: take the double-panel
-      // kernel when the tier has one. Bitwise identical to two
-      // single-panel calls (see the x2 declaration in gemm_kernel.hpp),
-      // so pairing — which shifts with the block edge but never with
-      // the thread count — does not affect determinism.
-      if (micro_x2 != nullptr && full_rows && np + 2 <= np1 &&
-          n0 + 2 * kGemmNR <= n) {
-        micro_x2(a_panel, b_panel(np), k, job.c + m0 * ldc + n0, ldc,
-                 epilogue, brow, col_bias ? bias + n0 : nullptr);
-        np += 2;
-        continue;
+      const std::int64_t nr = std::min(cols * kGemmNR, n - n0);
+      const float* bcol = col_bias ? padded_bias(job.bias + n0, nr,
+                                                 cols * kGemmNR, bias_col_pad)
+                                   : nullptr;
+      const detail::MicroKernelFn kernel = kernels.kernel[rows - 1][cols - 1];
+      const float* a_panels = job.pa + mp * k * kGemmMR;
+      const float* b_panels = pb + (np - np0) * k * kGemmNR;
+      float* ct = job.c + m0 * ldc + n0;
+      if (mr == rows * kGemmMR && nr == cols * kGemmNR) {
+        kernel(a_panels, b_panels, k, ct, ldc, epilogue, brow, bcol);
+      } else {
+        const auto live_bytes = static_cast<std::size_t>(nr) * sizeof(float);
+        if (epilogue == GemmEpilogue::kAccumulate) {
+          std::fill(stage, stage + kTileRows * kTileCols, 0.f);
+          for (std::int64_t r = 0; r < mr; ++r)
+            std::memcpy(stage + r * kTileCols, ct + r * ldc, live_bytes);
+        }
+        kernel(a_panels, b_panels, k, stage, kTileCols, epilogue, brow, bcol);
+        for (std::int64_t r = 0; r < mr; ++r)
+          std::memcpy(ct + r * ldc, stage + r * kTileCols, live_bytes);
       }
-      single_tile(a_panel, m0, np, brow);
-      ++np;
+      np += cols;
     }
-    ++mp;
+    mp += rows;
   }
 }
 

@@ -106,7 +106,11 @@ namespace detail {
 /// `ldo`), applying the epilogue. `bias_row` points at MR entries,
 /// `bias_col` at NR entries (zero-padded by the caller on edge tiles);
 /// unused ones may be null. Under kAccumulate the accumulators start
-/// from the tile already in `out`.
+/// from the tile already in `out`. The wider AVX-512 kernels below
+/// share the signature; every kernel always computes and stores its
+/// whole tile, so the macro loop runs an edge tile (fewer live rows or
+/// columns) into a zero-padded staging tile and copies out the live
+/// part.
 using MicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
                                std::int64_t k, float* out, std::int64_t ldo,
                                GemmEpilogue epilogue, const float* bias_row,
@@ -143,21 +147,30 @@ void micro_kernel_avx512(const float* a_panel, const float* b_panel,
 /// feeds two fmadds, doubling the independent accumulator chains (12)
 /// so the K loop is FMA-throughput-bound instead of latency-bound.
 /// Per-element accumulation is the same single ascending-k chain, so
-/// the result is bitwise identical to two single-panel calls. Full
-/// tiles only: `bias_col` (when used) must have 2*NR valid entries and
-/// `out` 2*NR writable columns per row.
+/// the result is bitwise identical to two single-panel calls.
+/// `bias_col` (when used) must have 2*NR entries and `out` 2*NR
+/// writable columns per row.
 void micro_kernel_avx512_x2(const float* a_panel, const float* b_panels,
                             std::int64_t k, float* out, std::int64_t ldo,
                             GemmEpilogue epilogue, const float* bias_row,
                             const float* bias_col);
 
-/// Quad tile: 2*MR x 2*NR from two adjacent A row panels (`a_panels`
+/// Tall tile: 2*MR x NR from two adjacent A row panels (`a_panels`
 /// points at panel mp; panel mp+1 follows at a_panels + k*kGemmMR) and
-/// two adjacent B panels, 24 accumulator chains. Halves the per-flop
-/// packed-B traffic of the x2 kernel (each B vector now feeds 12 rows
-/// per load) at the same FMA-throughput bound. Same bitwise guarantee
-/// and full-tile requirements as x2; `bias_row` (when used) must have
-/// 2*MR valid entries.
+/// one B panel, 12 accumulator chains; each B vector feeds 12 rows per
+/// load. For a lone column panel: N <= 16, or the odd last panel of a
+/// block. Bitwise identical to two single-panel calls; `bias_row` (when
+/// used) must have 2*MR entries and `out` 2*MR writable rows.
+void micro_kernel_avx512_2x1(const float* a_panels, const float* b_panel,
+                             std::int64_t k, float* out, std::int64_t ldo,
+                             GemmEpilogue epilogue, const float* bias_row,
+                             const float* bias_col);
+
+/// Quad tile: 2*MR x 2*NR from two adjacent A row panels (laid out as
+/// for 2x1) and two adjacent B panels, 24 accumulator chains. Halves
+/// the per-flop packed-B traffic of the x2 kernel (each B vector now
+/// feeds 12 rows per load) at the same FMA-throughput bound. Same
+/// bitwise guarantee and tile requirements as x2 and 2x1.
 void micro_kernel_avx512_2x2(const float* a_panels, const float* b_panels,
                              std::int64_t k, float* out, std::int64_t ldo,
                              GemmEpilogue epilogue, const float* bias_row,

@@ -203,6 +203,115 @@ void micro_kernel_avx512_x2(const float* a_panel, const float* b_panels,
   _mm512_storeu_ps(out + 5 * ldo + kGemmNR, c51);
 }
 
+// 12 x 16 tile: two row panels against one B panel, for a leftover
+// odd column panel and for N <= 16 (a 10-class output layer). 12
+// accumulators + 1 B vector + 1 broadcast; each B load feeds 12 rows,
+// where two single-panel calls would load it twice and run two
+// 6-chain, latency-bound K loops one after the other.
+void micro_kernel_avx512_2x1(const float* a_panels, const float* b_panel,
+                             std::int64_t k, float* out, std::int64_t ldo,
+                             GemmEpilogue epilogue, const float* bias_row,
+                             const float* bias_col) {
+  __m512 c0, c1, c2, c3, c4, c5, d0, d1, d2, d3, d4, d5;
+  if (epilogue == GemmEpilogue::kBiasRowInit ||
+      epilogue == GemmEpilogue::kBiasRowRelu) {
+    c0 = _mm512_set1_ps(bias_row[0]);
+    c1 = _mm512_set1_ps(bias_row[1]);
+    c2 = _mm512_set1_ps(bias_row[2]);
+    c3 = _mm512_set1_ps(bias_row[3]);
+    c4 = _mm512_set1_ps(bias_row[4]);
+    c5 = _mm512_set1_ps(bias_row[5]);
+    d0 = _mm512_set1_ps(bias_row[6]);
+    d1 = _mm512_set1_ps(bias_row[7]);
+    d2 = _mm512_set1_ps(bias_row[8]);
+    d3 = _mm512_set1_ps(bias_row[9]);
+    d4 = _mm512_set1_ps(bias_row[10]);
+    d5 = _mm512_set1_ps(bias_row[11]);
+  } else if (epilogue == GemmEpilogue::kAccumulate) {
+    c0 = _mm512_loadu_ps(out + 0 * ldo);
+    c1 = _mm512_loadu_ps(out + 1 * ldo);
+    c2 = _mm512_loadu_ps(out + 2 * ldo);
+    c3 = _mm512_loadu_ps(out + 3 * ldo);
+    c4 = _mm512_loadu_ps(out + 4 * ldo);
+    c5 = _mm512_loadu_ps(out + 5 * ldo);
+    d0 = _mm512_loadu_ps(out + 6 * ldo);
+    d1 = _mm512_loadu_ps(out + 7 * ldo);
+    d2 = _mm512_loadu_ps(out + 8 * ldo);
+    d3 = _mm512_loadu_ps(out + 9 * ldo);
+    d4 = _mm512_loadu_ps(out + 10 * ldo);
+    d5 = _mm512_loadu_ps(out + 11 * ldo);
+  } else {
+    c0 = c1 = c2 = c3 = c4 = c5 = _mm512_setzero_ps();
+    d0 = d1 = d2 = d3 = d4 = d5 = _mm512_setzero_ps();
+  }
+
+  const float* a0 = a_panels;
+  const float* a1 = a_panels + k * kGemmMR;
+  const float* b = b_panel;
+  for (std::int64_t kk = 0; kk < k;
+       ++kk, a0 += kGemmMR, a1 += kGemmMR, b += kGemmNR) {
+    const __m512 bv = _mm512_loadu_ps(b);
+    c0 = _mm512_fmadd_ps(_mm512_set1_ps(a0[0]), bv, c0);
+    c1 = _mm512_fmadd_ps(_mm512_set1_ps(a0[1]), bv, c1);
+    c2 = _mm512_fmadd_ps(_mm512_set1_ps(a0[2]), bv, c2);
+    c3 = _mm512_fmadd_ps(_mm512_set1_ps(a0[3]), bv, c3);
+    c4 = _mm512_fmadd_ps(_mm512_set1_ps(a0[4]), bv, c4);
+    c5 = _mm512_fmadd_ps(_mm512_set1_ps(a0[5]), bv, c5);
+    d0 = _mm512_fmadd_ps(_mm512_set1_ps(a1[0]), bv, d0);
+    d1 = _mm512_fmadd_ps(_mm512_set1_ps(a1[1]), bv, d1);
+    d2 = _mm512_fmadd_ps(_mm512_set1_ps(a1[2]), bv, d2);
+    d3 = _mm512_fmadd_ps(_mm512_set1_ps(a1[3]), bv, d3);
+    d4 = _mm512_fmadd_ps(_mm512_set1_ps(a1[4]), bv, d4);
+    d5 = _mm512_fmadd_ps(_mm512_set1_ps(a1[5]), bv, d5);
+  }
+
+  if (epilogue == GemmEpilogue::kBiasColAdd ||
+      epilogue == GemmEpilogue::kBiasColRelu) {
+    const __m512 bias = _mm512_loadu_ps(bias_col);
+    c0 = _mm512_add_ps(c0, bias);
+    c1 = _mm512_add_ps(c1, bias);
+    c2 = _mm512_add_ps(c2, bias);
+    c3 = _mm512_add_ps(c3, bias);
+    c4 = _mm512_add_ps(c4, bias);
+    c5 = _mm512_add_ps(c5, bias);
+    d0 = _mm512_add_ps(d0, bias);
+    d1 = _mm512_add_ps(d1, bias);
+    d2 = _mm512_add_ps(d2, bias);
+    d3 = _mm512_add_ps(d3, bias);
+    d4 = _mm512_add_ps(d4, bias);
+    d5 = _mm512_add_ps(d5, bias);
+  }
+  if (epilogue == GemmEpilogue::kBiasColRelu ||
+      epilogue == GemmEpilogue::kBiasRowRelu) {
+    const __m512 zero = _mm512_setzero_ps();
+    c0 = _mm512_max_ps(c0, zero);
+    c1 = _mm512_max_ps(c1, zero);
+    c2 = _mm512_max_ps(c2, zero);
+    c3 = _mm512_max_ps(c3, zero);
+    c4 = _mm512_max_ps(c4, zero);
+    c5 = _mm512_max_ps(c5, zero);
+    d0 = _mm512_max_ps(d0, zero);
+    d1 = _mm512_max_ps(d1, zero);
+    d2 = _mm512_max_ps(d2, zero);
+    d3 = _mm512_max_ps(d3, zero);
+    d4 = _mm512_max_ps(d4, zero);
+    d5 = _mm512_max_ps(d5, zero);
+  }
+
+  _mm512_storeu_ps(out + 0 * ldo, c0);
+  _mm512_storeu_ps(out + 1 * ldo, c1);
+  _mm512_storeu_ps(out + 2 * ldo, c2);
+  _mm512_storeu_ps(out + 3 * ldo, c3);
+  _mm512_storeu_ps(out + 4 * ldo, c4);
+  _mm512_storeu_ps(out + 5 * ldo, c5);
+  _mm512_storeu_ps(out + 6 * ldo, d0);
+  _mm512_storeu_ps(out + 7 * ldo, d1);
+  _mm512_storeu_ps(out + 8 * ldo, d2);
+  _mm512_storeu_ps(out + 9 * ldo, d3);
+  _mm512_storeu_ps(out + 10 * ldo, d4);
+  _mm512_storeu_ps(out + 11 * ldo, d5);
+}
+
 // 12 x 32 quad tile: two row panels x two column panels. 24
 // accumulators + 2 B vectors + 2 A broadcasts = 28 live zmm of the 32
 // architectural registers; every packed-B load now amortizes over 12

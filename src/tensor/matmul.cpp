@@ -61,17 +61,26 @@ Tensor matmul_bias_relu(const Tensor& a, const Tensor& b, const Tensor& bias,
   return c;
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b, const Device& dev) {
+void matmul_tn_accumulate(const Tensor& a, const Tensor& b, Tensor& c,
+                          const Device& dev) {
   runtime::trace::Span span("matmul_tn", "kernel");
-  // a is stored [K, M]; compute C[M, N] = sum_k a[k, m] * b[k, n].
+  // a is stored [K, M]; C[M, N] += sum_k a[k, m] * b[k, n].
   check_rank2(a, b, "matmul_tn");
   const std::int64_t K = a.dim(0), M = a.dim(1);
   DLB_CHECK(b.dim(0) == K, "matmul_tn: inner dims " << K << " vs " << b.dim(0));
   const std::int64_t N = b.dim(1);
-  Tensor c = Tensor::uninit(Shape({M, N}));  // gemm_packed writes all of C
+  DLB_CHECK(c.shape() == Shape({M, N}),
+            "matmul_tn: C is " << c.shape().to_string() << ", want [" << M
+                               << ", " << N << "]");
   // A(m, k) lives at a[k*M + m]: row stride 1, column stride M.
   gemm_packed(a.raw(), 1, M, b.raw(), N, 1, c.raw(), M, K, N,
-              GemmEpilogue::kNone, nullptr, dev);
+              GemmEpilogue::kAccumulate, nullptr, dev);
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b, const Device& dev) {
+  check_rank2(a, b, "matmul_tn");
+  Tensor c(Shape({a.dim(1), b.dim(1)}));  // +0: the chain starts there
+  matmul_tn_accumulate(a, b, c, dev);
   return c;
 }
 

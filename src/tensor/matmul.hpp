@@ -20,6 +20,13 @@ Tensor matmul(const Tensor& a, const Tensor& b, const runtime::Device& dev);
 /// C = A^T(MxK as KxM stored) * B(KxN)  → matmul_tn(a, b): a is [K, M].
 Tensor matmul_tn(const Tensor& a, const Tensor& b, const runtime::Device& dev);
 
+/// c[M, N] += A^T * B with a stored [K, M], in place: each element's
+/// fma chain continues from c's value on entry (GemmEpilogue::
+/// kAccumulate), so no [M, N] temporary is written. matmul_tn is this
+/// on a +0-filled c. The dense layers' dW accumulation.
+void matmul_tn_accumulate(const Tensor& a, const Tensor& b, Tensor& c,
+                          const runtime::Device& dev);
+
 /// C = A(MxK) * B^T where b is [N, K]  → result [M, N].
 Tensor matmul_nt(const Tensor& a, const Tensor& b, const runtime::Device& dev);
 

@@ -3,9 +3,9 @@
 // against the direct reference implementation, each across a large set
 // of randomized shapes; im2col/col2im against per-element oracles; the
 // pre-packed GEMM entry points and K-blocked kAccumulate chains against
-// gemm_packed; gemm_packed's row and column splits against the fma-chain
-// oracle; plus determinism checks (serial vs threaded, and run-to-run
-// under threads).
+// gemm_packed; gemm_packed's row and column splits and its edge tiles
+// against the fma-chain oracle; plus determinism checks (serial vs
+// threaded, and run-to-run under threads).
 
 #include <gtest/gtest.h>
 
@@ -860,6 +860,66 @@ Tensor transposed(const Tensor& x) {
   return t;
 }
 
+const GemmEpilogue kAllEpilogues[] = {
+    GemmEpilogue::kNone,        GemmEpilogue::kBiasColAdd,
+    GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
+    GemmEpilogue::kBiasRowRelu, GemmEpilogue::kAccumulate};
+
+// The fma-chain oracle's C for every epilogue of one row-major A [m, k]
+// and B [k, n], with random biases and a random C on entry for
+// kAccumulate: the chain from zero, from the row bias or from C, then
+// the column bias and the ReLU.
+struct EpilogueOracle {
+  EpilogueOracle(const Tensor& a, const Tensor& b, util::Rng& rng)
+      : m(a.dim(0)),
+        n(b.dim(1)),
+        bias_col(Tensor::randn(Shape({n}), rng)),
+        bias_row(Tensor::randn(Shape({m}), rng)),
+        c_start(Tensor::randn(Shape({m, n}), rng)),
+        zero_chain(Shape({m, n})),
+        row_chain(Tensor::uninit(Shape({m, n}))),
+        acc_chain(c_start.clone()) {
+    for (std::int64_t i = 0; i < m; ++i)
+      std::fill(row_chain.raw() + i * n, row_chain.raw() + (i + 1) * n,
+                bias_row.at(i));
+    const bool fused = gemm_fuses();
+    for (Tensor* chain : {&zero_chain, &row_chain, &acc_chain})
+      gemm_chain_oracle(a.raw(), b.raw(), chain->raw(), m, a.dim(1), n,
+                        fused);
+  }
+
+  static bool row_bias(GemmEpilogue ep) {
+    return ep == GemmEpilogue::kBiasRowInit || ep == GemmEpilogue::kBiasRowRelu;
+  }
+  static bool col_bias(GemmEpilogue ep) {
+    return ep == GemmEpilogue::kBiasColAdd || ep == GemmEpilogue::kBiasColRelu;
+  }
+
+  Tensor want(GemmEpilogue ep) const {
+    Tensor w = ep == GemmEpilogue::kAccumulate ? acc_chain.clone()
+               : row_bias(ep)                  ? row_chain.clone()
+                                               : zero_chain.clone();
+    const bool relu = ep == GemmEpilogue::kBiasColRelu ||
+                      ep == GemmEpilogue::kBiasRowRelu;
+    for (std::int64_t i = 0; i < m * n; ++i) {
+      float& v = w.data()[i];
+      if (col_bias(ep)) v += bias_col.at(i % n);
+      if (relu) v = v > 0.f ? v : 0.f;
+    }
+    return w;
+  }
+
+  const float* bias(GemmEpilogue ep) const {
+    return col_bias(ep)   ? bias_col.raw()
+           : row_bias(ep) ? bias_row.raw()
+                          : nullptr;
+  }
+
+  std::int64_t m, n;
+  Tensor bias_col, bias_row, c_start;
+  Tensor zero_chain, row_chain, acc_chain;
+};
+
 // gemm_packed splits a GEMM whose B is the wide operand over column
 // blocks of B (each worker packs its own block), and any other over row
 // panels of C. Either way each C element must be the fma-chain oracle's
@@ -879,11 +939,6 @@ TEST(KernelDiffTest, ColumnAndRowSplitsBitwiseMatchFmaChainOracle) {
       {3136, 50, 1024, true, false, false, "fc dW"},
       {50, 3136, 1000, false, false, true, "ragged N"},
   };
-  const GemmEpilogue eps[] = {
-      GemmEpilogue::kNone,        GemmEpilogue::kBiasColAdd,
-      GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
-      GemmEpilogue::kBiasRowRelu, GemmEpilogue::kAccumulate};
-  const bool fused = gemm_fuses();
   util::Rng rng(2424);
   for (const Case& cs : cases) {
     const std::int64_t m = cs.m, k = cs.k, n = cs.n;
@@ -898,48 +953,94 @@ TEST(KernelDiffTest, ColumnAndRowSplitsBitwiseMatchFmaChainOracle) {
     const std::int64_t a_cs = cs.a_transposed ? m : 1;
     const std::int64_t b_rs = cs.b_transposed ? 1 : n;
     const std::int64_t b_cs = cs.b_transposed ? k : 1;
-    Tensor bias_col = Tensor::randn(Shape({n}), rng);
-    Tensor bias_row = Tensor::randn(Shape({m}), rng);
-    Tensor c_start = Tensor::randn(Shape({m, n}), rng);
-    // The three chain starts: zero, the row bias, C on entry.
-    Tensor zero_chain(Shape({m, n}));
-    Tensor row_chain = Tensor::uninit(Shape({m, n}));
-    for (std::int64_t i = 0; i < m; ++i)
-      std::fill(row_chain.raw() + i * n, row_chain.raw() + (i + 1) * n,
-                bias_row.at(i));
-    Tensor acc_chain = c_start.clone();
-    for (Tensor* chain : {&zero_chain, &row_chain, &acc_chain})
-      gemm_chain_oracle(a.raw(), b.raw(), chain->raw(), m, k, n, fused);
-    for (const GemmEpilogue ep : eps) {
-      Tensor want = ep == GemmEpilogue::kAccumulate ? acc_chain.clone()
-                    : ep == GemmEpilogue::kBiasRowInit ||
-                            ep == GemmEpilogue::kBiasRowRelu
-                        ? row_chain.clone()
-                        : zero_chain.clone();
-      const bool col = ep == GemmEpilogue::kBiasColAdd ||
-                       ep == GemmEpilogue::kBiasColRelu;
-      const bool relu = ep == GemmEpilogue::kBiasColRelu ||
-                        ep == GemmEpilogue::kBiasRowRelu;
-      for (std::int64_t i = 0; i < m * n; ++i) {
-        float& w = want.data()[i];
-        if (col) w += bias_col.at(i % n);
-        if (relu) w = w > 0.f ? w : 0.f;
-      }
-      const float* bias = col ? bias_col.raw()
-                          : ep == GemmEpilogue::kBiasRowInit ||
-                                  ep == GemmEpilogue::kBiasRowRelu
-                              ? bias_row.raw()
-                              : nullptr;
+    const EpilogueOracle oracle(a, b, rng);
+    for (const GemmEpilogue ep : kAllEpilogues) {
+      const Tensor want = oracle.want(ep);
       for (const int workers : {1, 2, 3, 4}) {
         const Device dev =
             workers == 1 ? Device::cpu() : Device::parallel(workers);
-        Tensor got = c_start.clone();
+        Tensor got = oracle.c_start.clone();
         gemm_packed(a_store.raw(), a_rs, a_cs, b_store.raw(), b_rs, b_cs,
-                    got.raw(), m, k, n, ep, bias, dev);
+                    got.raw(), m, k, n, ep, oracle.bias(ep), dev);
         expect_bitwise_equal(got, want,
                              std::string(cs.name) + " ep=" +
                                  std::to_string(static_cast<int>(ep)) +
                                  " workers=" + std::to_string(workers));
+      }
+    }
+  }
+}
+
+// Edge tiles run on the same wide kernels as interior ones, through a
+// zero-padded staging tile of which only the live part is copied out.
+// Every tile shape (a lone or paired row panel with 1-6 live rows in
+// the last, the same for column panels with 1-16 live columns) must
+// give the oracle's chain bit for bit, and write nothing outside the
+// live m x n: m over every residue mod 12 and n over every residue mod
+// 32 (each with 2-4 panels, so the workers' row ranges split pairs),
+// every epilogue, through all three entry points, gemm_prepacked into
+// a C whose row stride leaves padding, on 1/2/4 workers. Canaries sit
+// in that padding and past the end of C.
+TEST(KernelDiffTest, EdgeTilesMatchFmaChainOracle) {
+  constexpr float kCanary = -7777.f;
+  constexpr std::int64_t kTail = 2 * kGemmNR;  // canaries past C
+  util::Rng rng(2626);
+  const Device devs[] = {Device::cpu(), Device::parallel(2),
+                         Device::parallel(4)};
+  for (const std::int64_t k : {1L, 25L, 64L, 129L}) {
+    for (std::int64_t m = 2 * kGemmMR + 1; m <= 4 * kGemmMR; ++m) {
+      Tensor a = Tensor::randn(Shape({m, k}), rng);
+      std::vector<float> pa(
+          static_cast<std::size_t>(gemm_row_panels(m) * kGemmMR * k));
+      pack_a_panels(a.raw(), k, 1, m, k, pa.data(), Device::cpu());
+      for (std::int64_t n = 2 * kGemmNR + 1; n <= 4 * kGemmNR; ++n) {
+        Tensor b = Tensor::randn(Shape({k, n}), rng);
+        std::vector<float> pb(
+            static_cast<std::size_t>(gemm_col_panels(n) * kGemmNR * k));
+        pack_b_panels(b.raw(), n, 1, k, n, pb.data(), Device::cpu());
+        const EpilogueOracle oracle(a, b, rng);
+        const std::int64_t ldc = n + 5;
+        for (const GemmEpilogue ep : kAllEpilogues) {
+          const Tensor want = oracle.want(ep);
+          for (const Device& dev : devs) {
+            for (const int entry : {0, 1, 2}) {
+              const std::int64_t rs = entry == 2 ? ldc : n;
+              std::vector<float> c(static_cast<std::size_t>(m * rs + kTail),
+                                   kCanary);
+              for (std::int64_t i = 0; i < m; ++i)
+                std::copy(oracle.c_start.raw() + i * n,
+                          oracle.c_start.raw() + (i + 1) * n,
+                          c.data() + i * rs);
+              if (entry == 0)
+                gemm_packed(a.raw(), k, 1, b.raw(), n, 1, c.data(), m, k, n,
+                            ep, oracle.bias(ep), dev);
+              else if (entry == 1)
+                gemm_prepacked_b(a.raw(), k, 1, pb.data(), c.data(), m, k,
+                                 n, ep, oracle.bias(ep), dev);
+              else
+                gemm_prepacked(pa.data(), pb.data(), c.data(), ldc, m, k, n,
+                               ep, oracle.bias(ep), dev);
+              const std::string what =
+                  std::to_string(m) + "x" + std::to_string(k) + "x" +
+                  std::to_string(n) +
+                  " ep=" + std::to_string(static_cast<int>(ep)) +
+                  " workers=" + std::to_string(dev.workers()) +
+                  " entry=" + std::to_string(entry);
+              for (std::int64_t i = 0; i < m; ++i) {
+                for (std::int64_t j = 0; j < n; ++j)
+                  ASSERT_EQ(c[static_cast<std::size_t>(i * rs + j)],
+                            want.at(i * n + j))
+                      << what << " at (" << i << ", " << j << ")";
+                for (std::int64_t j = n; j < rs; ++j)
+                  ASSERT_EQ(c[static_cast<std::size_t>(i * rs + j)], kCanary)
+                      << what << " row padding of row " << i;
+              }
+              for (std::int64_t t = 0; t < kTail; ++t)
+                ASSERT_EQ(c[static_cast<std::size_t>(m * rs + t)], kCanary)
+                    << what << " past C";
+            }
+          }
+        }
       }
     }
   }
@@ -984,10 +1085,11 @@ TEST(KernelDiffTest, TiledTransposedPackMatchesPanelLayout) {
   }
 }
 
-// The wide AVX-512 tiles (x2: 6x32, 2x2: 12x32) against the equivalent
-// sequence of single-tile calls, on hand-packed panels: grouping tiles
-// into one call must not change a single bit (each output element keeps
-// its own ascending-k chain). Skipped on hosts without AVX-512F.
+// The wide AVX-512 tiles (x2: 6x32, 2x1: 12x16, 2x2: 12x32) against
+// the equivalent sequence of single-tile calls, on hand-packed panels,
+// every epilogue (kAccumulate from a random C): grouping tiles into one
+// call must not change a single bit (each output element keeps its own
+// ascending-k chain). Skipped on hosts without AVX-512F.
 #if defined(DLB_HAVE_AVX512_BUILD)
 TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
   if (!runtime::cpu_features().avx512f) GTEST_SKIP() << "no AVX-512F host";
@@ -999,18 +1101,15 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
     Tensor b = Tensor::randn(Shape({k, n}), rng);
     Tensor bias_col = Tensor::randn(Shape({n}), rng);
     Tensor bias_row = Tensor::randn(Shape({m}), rng);
+    Tensor c_start = Tensor::randn(Shape({m, n}), rng);
+    const std::vector<float> start(c_start.raw(), c_start.raw() + m * n);
     std::vector<float> pa(static_cast<std::size_t>(2 * kGemmMR * k));
     std::vector<float> pb(static_cast<std::size_t>(2 * kGemmNR * k));
     pack_a_panels(a.raw(), k, 1, m, k, pa.data(), serial);
     pack_b_panels(b.raw(), n, 1, k, n, pb.data(), serial);
-    const GemmEpilogue eps[] = {
-        GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
-        GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
-        GemmEpilogue::kBiasRowRelu};
-    for (const GemmEpilogue ep : eps) {
-      std::vector<float> want(static_cast<std::size_t>(m * n));
-      std::vector<float> got(static_cast<std::size_t>(m * n));
+    for (const GemmEpilogue ep : kAllEpilogues) {
       // Reference: four single 6x16 tiles.
+      std::vector<float> want = start;
       for (int rp = 0; rp < 2; ++rp)
         for (int cp = 0; cp < 2; ++cp)
           detail::micro_kernel_avx512(
@@ -1018,6 +1117,7 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
               want.data() + rp * kGemmMR * n + cp * kGemmNR, n, ep,
               bias_row.raw() + rp * kGemmMR, bias_col.raw() + cp * kGemmNR);
       // x2: two 6x32 tiles.
+      std::vector<float> got = start;
       for (int rp = 0; rp < 2; ++rp)
         detail::micro_kernel_avx512_x2(
             pa.data() + rp * k * kGemmMR, pb.data(), k,
@@ -1025,8 +1125,17 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
             bias_row.raw() + rp * kGemmMR, bias_col.raw());
       EXPECT_EQ(want, got) << "x2 tile k=" << k
                            << " ep=" << static_cast<int>(ep);
+      // 2x1: two 12x16 tiles.
+      got = start;
+      for (int cp = 0; cp < 2; ++cp)
+        detail::micro_kernel_avx512_2x1(
+            pa.data(), pb.data() + cp * k * kGemmNR, k,
+            got.data() + cp * kGemmNR, n, ep, bias_row.raw(),
+            bias_col.raw() + cp * kGemmNR);
+      EXPECT_EQ(want, got) << "2x1 tile k=" << k
+                           << " ep=" << static_cast<int>(ep);
       // 2x2: one 12x32 tile.
-      std::fill(got.begin(), got.end(), 0.f);
+      got = start;
       detail::micro_kernel_avx512_2x2(pa.data(), pb.data(), k, got.data(), n,
                                       ep, bias_row.raw(), bias_col.raw());
       EXPECT_EQ(want, got) << "2x2 tile k=" << k

@@ -68,6 +68,32 @@ TEST_P(GemmShapes, MatmulTnMatchesExplicitTranspose) {
   expect_close(matmul_tn(at, b, dev()), naive_matmul(a, b));
 }
 
+// The dense layers' dW path: from a +0-filled C each element is the
+// chain a plain GEMM of the materialized transpose computes, bit for
+// bit; from any other C it adds the product onto it.
+TEST_P(GemmShapes, MatmulTnAccumulateContinuesFromC) {
+  auto [m, k, n, parallel] = GetParam();
+  (void)parallel;
+  util::Rng rng(static_cast<std::uint64_t>(m * 5 + k * 7 + n));
+  Tensor at = Tensor::randn(Shape({k, m}), rng);  // stored transposed
+  Tensor b = Tensor::randn(Shape({k, n}), rng);
+  Tensor a({m, k});
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t x = 0; x < k; ++x)
+      a.data()[i * k + x] = at.at(x * m + i);
+  const Tensor fresh = matmul(a, b, dev());
+  Tensor zeros(Shape({m, n}));
+  matmul_tn_accumulate(at, b, zeros, dev());
+  for (std::int64_t i = 0; i < fresh.numel(); ++i)
+    ASSERT_EQ(zeros.at(i), fresh.at(i)) << "at " << i;
+  Tensor c = Tensor::randn(Shape({m, n}), rng);
+  Tensor want = c.clone();
+  for (std::int64_t i = 0; i < want.numel(); ++i)
+    want.data()[i] += fresh.at(i);
+  matmul_tn_accumulate(at, b, c, dev());
+  expect_close(c, want);
+}
+
 TEST_P(GemmShapes, MatmulNtMatchesExplicitTranspose) {
   auto [m, k, n, parallel] = GetParam();
   (void)parallel;
@@ -110,6 +136,9 @@ TEST(Gemm, InnerDimMismatchThrows) {
   EXPECT_THROW(matmul(a, b, Device::cpu()), dlbench::Error);
   EXPECT_THROW(matmul_tn(a, b, Device::cpu()), dlbench::Error);
   EXPECT_THROW(matmul_nt(a, b, Device::cpu()), dlbench::Error);
+  Tensor at(Shape({4, 2}));  // inner dims match b; C must be [2, 5]
+  Tensor c(Shape({2, 4}));
+  EXPECT_THROW(matmul_tn_accumulate(at, b, c, Device::cpu()), dlbench::Error);
 }
 
 TEST(Gemm, AddRowBiasBroadcasts) {
