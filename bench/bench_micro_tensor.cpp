@@ -12,6 +12,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "nn/conv_direct.hpp"
 #include "nn/layers.hpp"
 #include "optim/optimizer.hpp"
@@ -184,6 +188,60 @@ BENCHMARK(BM_GemmEdgeTiles)
     ->Args({10, 800, 500, 0})
     ->Args({50, 3136, 1024, 0})
     ->UseRealTime();
+
+// One micro-kernel call per iteration on cache-hot packed panels, for
+// every tile shape of every SIMD tier this build and CPU can run,
+// registered as BM_MicroKernel/{tier}/{RPxCP}/{k}: the kernel alone,
+// without packing, the macro loop or threads. k = 25, 800 and 3136 are
+// the Caffe conv1, TF conv2 and TF fc1 reduction lengths.
+void BM_MicroKernel(benchmark::State& state,
+                    tensor::detail::MicroKernelFn kernel, std::int64_t rows,
+                    std::int64_t cols) {
+  const std::int64_t k = state.range(0);
+  const std::int64_t m = rows * tensor::kGemmMR, n = cols * tensor::kGemmNR;
+  util::Rng rng(11);
+  Tensor a_panels = Tensor::randn(Shape({m * k}), rng);
+  Tensor b_panels = Tensor::randn(Shape({k * n}), rng);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    kernel(a_panels.raw(), b_panels.raw(), k, c.data(), n,
+           tensor::GemmEpilogue::kNone, nullptr, nullptr);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const auto md = static_cast<double>(m), kd = static_cast<double>(k),
+             nd = static_cast<double>(n);
+  set_rates(state, gemm_flops(md, kd, nd), gemm_bytes(md, kd, nd));
+}
+
+const bool kMicroKernelsRegistered = [] {
+  using tensor::detail::MicroKernelTable;
+  std::vector<std::pair<const char*, const MicroKernelTable*>> tiers{
+      {"scalar", &tensor::detail::kScalarKernels}};
+#if defined(DLB_HAVE_AVX2_BUILD)
+  const runtime::CpuFeatures& cpu = runtime::cpu_features();
+  if (cpu.avx2 && cpu.fma) {
+    tiers.emplace_back("avx2", &tensor::detail::kAvx2Kernels);
+#if defined(DLB_HAVE_AVX512_BUILD)
+    if (cpu.avx512f)
+      tiers.emplace_back("avx512", &tensor::detail::kAvx512Kernels);
+#endif
+  }
+#endif
+  for (const auto& [tier, table] : tiers)
+    for (std::int64_t rows = 1; rows <= table->span; ++rows)
+      for (std::int64_t cols = 1; cols <= table->span; ++cols) {
+        const std::string name = std::string("BM_MicroKernel/") + tier + "/" +
+                                 std::to_string(rows) + "x" +
+                                 std::to_string(cols);
+        benchmark::RegisterBenchmark(name.c_str(), BM_MicroKernel,
+                                     table->kernel[rows - 1][cols - 1], rows,
+                                     cols)
+            ->Arg(25)->Arg(50)->Arg(256)->Arg(800)->Arg(3136)
+            ->UseRealTime();
+      }
+  return true;
+}();
 
 // Square A * B^T through the packed kernel (the backward-pass dgrad
 // shape: dx = dy * W^T with W stored [in, out] transposed access).

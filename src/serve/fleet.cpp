@@ -309,6 +309,11 @@ void FleetManager::dispatcher_loop() {
     ++dispatch_count_;
     log_locked(FleetDecisionKind::kDispatch, tenant.config.name,
                model.config.name, tenant.config.slo, queued_total_);
+    // Evaluated before mu_ is released: a fast completion can then
+    // never leave the fleet idle, and wake drain(), while this
+    // dispatch's evaluation is still to run.
+    if (options_.autoscale && dispatch_count_ % options_.autoscale_every == 0)
+      autoscale_locked();
     SubmitOptions submit_options;
     submit_options.slo = tenant.config.slo;
     const std::int64_t dispatch_ns = now_ns();
@@ -326,8 +331,6 @@ void FleetManager::dispatcher_loop() {
           });
     }
     lock.lock();
-    if (options_.autoscale && dispatch_count_ % options_.autoscale_every == 0)
-      autoscale_locked();
   }
 }
 

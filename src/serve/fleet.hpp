@@ -50,7 +50,9 @@
 //
 //   Autoscaling — every autoscale_every dispatch decisions (an ordinal
 //   cadence, deliberately not wall clock) the dispatcher re-evaluates
-//   each model's queued backlog per replica. Backlog above
+//   each model's queued backlog per replica, before it releases mu_ for
+//   that dispatch's inner submit, so drain() never returns ahead of an
+//   evaluation. Backlog above
 //   scale_up_backlog adds a replica (within the model's max and the
 //   global core budget); backlog at or below scale_down_backlog for
 //   hysteresis_evals consecutive evaluations retires one (never below

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "runtime/trace.hpp"
+#include "tensor/micro_kernel.hpp"
 #include "tensor/pack.hpp"
 #include "util/error.hpp"
 
@@ -14,93 +15,46 @@ namespace dlbench::tensor {
 using runtime::Device;
 
 namespace detail {
-
-void micro_kernel_scalar(const float* a_panel, const float* b_panel,
-                         std::int64_t k, float* out, std::int64_t ldo,
-                         GemmEpilogue epilogue, const float* bias_row,
-                         const float* bias_col) {
-  float acc[kGemmMR][kGemmNR];
-  if (epilogue == GemmEpilogue::kBiasRowInit ||
-      epilogue == GemmEpilogue::kBiasRowRelu) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] = bias_row[r];
-  } else if (epilogue == GemmEpilogue::kAccumulate) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      std::memcpy(acc[r], out + r * ldo,
-                  static_cast<std::size_t>(kGemmNR) * sizeof(float));
-  } else {
-    std::memset(acc, 0, sizeof(acc));
-  }
-  // Fully unrolled r/j loops over a local copy of the B row: GCC then
-  // keeps all MR*NR accumulators in registers instead of spilling and
-  // reloading the array every k step, which ran 20-40x slower. Same
-  // arithmetic, same order, same bits. On an FMA target the step is an
-  // explicit std::fma (one vfmadd), not left to contraction: an
-  // instrumented sanitizer build contracts only some of the unrolled
-  // steps.
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* a = a_panel + kk * kGemmMR;
-    float b[kGemmNR];
-    std::memcpy(b, b_panel + kk * kGemmNR, sizeof(b));
-#pragma GCC unroll 6
-    for (std::int64_t r = 0; r < kGemmMR; ++r) {
-      const float av = a[r];
-#pragma GCC unroll 16
-      for (std::int64_t j = 0; j < kGemmNR; ++j) {
-#if defined(__FMA__)
-        acc[r][j] = std::fma(av, b[j], acc[r][j]);
-#else
-        acc[r][j] += av * b[j];
-#endif
-      }
-    }
-  }
-  if (epilogue == GemmEpilogue::kBiasColAdd ||
-      epilogue == GemmEpilogue::kBiasColRelu) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] += bias_col[j];
-  }
-  if (epilogue == GemmEpilogue::kBiasColRelu ||
-      epilogue == GemmEpilogue::kBiasRowRelu) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j)
-        acc[r][j] = acc[r][j] > 0.f ? acc[r][j] : 0.f;
-  }
-  for (std::int64_t r = 0; r < kGemmMR; ++r)
-    std::memcpy(out + r * ldo, acc[r],
-                static_cast<std::size_t>(kGemmNR) * sizeof(float));
-}
-
 namespace {
 
-// The active tier's micro-kernels by tile shape: kernel[r][c] computes
-// r+1 row panels x c+1 column panels, (6 r + 6) x (16 c + 16). The
-// AVX-512 tier has all four (`span` 2); the scalar and AVX2 tiers have
-// only the single 6x16 kernel (`span` 1). The wide kernels are pure
-// throughput optimizations, bitwise identical to the equivalent
-// single-panel calls.
-struct SelectedKernels {
-  MicroKernelFn kernel[2][2];
-  std::int64_t span;  // most panels one tile covers along either axis
+// One float per "vector". On an FMA target the step is an explicit
+// std::fma (one vfmadd), not left to contraction: an instrumented
+// sanitizer build contracts only some of the unrolled steps.
+struct Scalar {
+  using type = float;
+  static constexpr int kWidth = 1;
+  static type load(const float* p) { return *p; }
+  static void store(float* p, type v) { *p = v; }
+  static type set1(float x) { return x; }
+  static type zero() { return 0.f; }
+  static type fma(type a, type b, type c) {
+#if defined(__FMA__)
+    return std::fma(a, b, c);
+#else
+    return c + a * b;
+#endif
+  }
+  static type add(type a, type b) { return a + b; }
+  static type max0(type a) { return a > 0.f ? a : 0.f; }
 };
 
-SelectedKernels select_micro_kernel() {
+}  // namespace
+
+const MicroKernelTable kScalarKernels = {
+    {{micro_kernel<Scalar, 1, 1>, nullptr}, {nullptr, nullptr}}, 1};
+
+const MicroKernelTable& select_micro_kernel() {
   const runtime::SimdLevel level = runtime::active_simd_level();
 #if defined(DLB_HAVE_AVX512_BUILD)
-  if (level == runtime::SimdLevel::kAvx512F)
-    return {{{micro_kernel_avx512, micro_kernel_avx512_x2},
-             {micro_kernel_avx512_2x1, micro_kernel_avx512_2x2}},
-            2};
+  if (level == runtime::SimdLevel::kAvx512F) return kAvx512Kernels;
 #endif
 #if defined(DLB_HAVE_AVX2_BUILD)
-  if (level == runtime::SimdLevel::kAvx2Fma)
-    return {{{micro_kernel_avx2fma, nullptr}, {nullptr, nullptr}}, 1};
+  if (level == runtime::SimdLevel::kAvx2Fma) return kAvx2Kernels;
 #endif
   (void)level;
-  return {{{micro_kernel_scalar, nullptr}, {nullptr, nullptr}}, 1};
+  return kScalarKernels;
 }
 
-}  // namespace
 }  // namespace detail
 
 namespace {
@@ -174,7 +128,7 @@ void run_tiles(const TileJob& job, std::int64_t mp_lo, std::int64_t mp_hi,
   constexpr std::int64_t kTileRows = 2 * kGemmMR, kTileCols = 2 * kGemmNR;
   const std::int64_t m = job.m, k = job.k, n = job.n, ldc = job.ldc;
   const GemmEpilogue epilogue = job.epilogue;
-  const detail::SelectedKernels kernels = detail::select_micro_kernel();
+  const detail::MicroKernelTable& kernels = detail::select_micro_kernel();
   const bool row_bias = epilogue == GemmEpilogue::kBiasRowInit ||
                         epilogue == GemmEpilogue::kBiasRowRelu;
   const bool col_bias = epilogue == GemmEpilogue::kBiasColAdd ||

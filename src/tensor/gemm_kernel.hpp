@@ -8,10 +8,10 @@
 // Operands are given by base pointer + (row, col) element strides, so
 // the transposed variants (matmul_tn / matmul_nt) are the same kernel
 // with swapped strides; the packing layer (pack.hpp) turns any stride
-// pattern into unit-stride panels. The inner loop is an MR x NR
-// register-blocked micro-kernel selected at runtime from the dispatch
-// table in runtime/device (AVX2+FMA when built and supported, portable
-// scalar otherwise; DLB_SIMD=scalar forces the fallback).
+// pattern into unit-stride panels. The inner loop is a register-blocked
+// micro-kernel from the active SIMD tier's MicroKernelTable, chosen at
+// runtime by runtime/device (AVX-512F or AVX2+FMA when built and
+// supported, portable scalar otherwise; DLB_SIMD caps the tier).
 //
 // Determinism contract: C(m, n) is always the single-accumulator chain
 //   acc = init; for k = 0..K-1 in order: acc = acc + A(m,k)*B(k,n)
@@ -102,80 +102,46 @@ void gemm_prepacked(const float* a_panels, const float* b_panels, float* c,
 
 namespace detail {
 
-/// Computes one MR x NR tile from packed panels into `out` (row stride
-/// `ldo`), applying the epilogue. `bias_row` points at MR entries,
-/// `bias_col` at NR entries (zero-padded by the caller on edge tiles);
-/// unused ones may be null. Under kAccumulate the accumulators start
-/// from the tile already in `out`. The wider AVX-512 kernels below
-/// share the signature; every kernel always computes and stores its
-/// whole tile, so the macro loop runs an edge tile (fewer live rows or
-/// columns) into a zero-padded staging tile and copies out the live
-/// part.
-using MicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
+/// Computes one tile of RP x CP panels, (6 RP) x (16 CP), from packed
+/// panels into `out` (row stride `ldo`), applying the epilogue.
+/// `a_panels` points at row panel mp, and panel mp + 1 follows at
+/// a_panels + k*kGemmMR; `b_panels` likewise at k*kGemmNR. `bias_row`
+/// points at 6 RP entries, `bias_col` at 16 CP (zero-padded by the
+/// caller on edge tiles); unused ones may be null. Under kAccumulate
+/// the accumulators start from the tile already in `out`. A kernel
+/// always computes and stores its whole tile, so the macro loop runs an
+/// edge tile (fewer live rows or columns) into a zero-padded staging
+/// tile and copies out the live part. Every shape is bitwise identical
+/// to the equivalent single-panel calls.
+using MicroKernelFn = void (*)(const float* a_panels, const float* b_panels,
                                std::int64_t k, float* out, std::int64_t ldo,
                                GemmEpilogue epilogue, const float* bias_row,
                                const float* bias_col);
 
-/// Portable scalar micro-kernel (always available; the only kernel on
-/// hosts without AVX2+FMA and under DLB_SIMD=scalar).
-void micro_kernel_scalar(const float* a_panel, const float* b_panel,
-                         std::int64_t k, float* out, std::int64_t ldo,
-                         GemmEpilogue epilogue, const float* bias_row,
-                         const float* bias_col);
+/// One SIMD tier's micro-kernels by tile shape: kernel[RP-1][CP-1]
+/// covers RP row panels x CP column panels, for RP, CP <= span; the
+/// other entries are null. All come from the one template in
+/// micro_kernel.hpp.
+struct MicroKernelTable {
+  MicroKernelFn kernel[2][2];
+  std::int64_t span;  // most panels one tile covers along either axis
+};
 
+/// The portable tier (gemm_kernel.cpp), span 1: always available, and
+/// the only tier on hosts without AVX2+FMA and under DLB_SIMD=scalar.
+extern const MicroKernelTable kScalarKernels;
 #if defined(DLB_HAVE_AVX2_BUILD)
-/// AVX2+FMA micro-kernel (gemm_kernel_avx2.cpp; only dispatched when
-/// cpuid reports AVX2 and FMA).
-void micro_kernel_avx2fma(const float* a_panel, const float* b_panel,
-                          std::int64_t k, float* out, std::int64_t ldo,
-                          GemmEpilogue epilogue, const float* bias_row,
-                          const float* bias_col);
+/// gemm_kernel_avx2.cpp, span 1; only valid when cpuid reports AVX2+FMA.
+extern const MicroKernelTable kAvx2Kernels;
 #endif
-
 #if defined(DLB_HAVE_AVX512_BUILD)
-/// AVX-512F micro-kernel (gemm_kernel_avx512.cpp; only dispatched
-/// when cpuid reports AVX-512F). One NR panel is one zmm; bitwise
-/// identical to the AVX2 kernel.
-void micro_kernel_avx512(const float* a_panel, const float* b_panel,
-                         std::int64_t k, float* out, std::int64_t ldo,
-                         GemmEpilogue epilogue, const float* bias_row,
-                         const float* bias_col);
-
-/// Double-width AVX-512 kernel: one call computes an MR x 2*NR
-/// tile from two adjacent packed-B panels (`b_panels` points at panel
-/// np; panel np+1 follows at b_panels + k*kGemmNR). Each A broadcast
-/// feeds two fmadds, doubling the independent accumulator chains (12)
-/// so the K loop is FMA-throughput-bound instead of latency-bound.
-/// Per-element accumulation is the same single ascending-k chain, so
-/// the result is bitwise identical to two single-panel calls.
-/// `bias_col` (when used) must have 2*NR entries and `out` 2*NR
-/// writable columns per row.
-void micro_kernel_avx512_x2(const float* a_panel, const float* b_panels,
-                            std::int64_t k, float* out, std::int64_t ldo,
-                            GemmEpilogue epilogue, const float* bias_row,
-                            const float* bias_col);
-
-/// Tall tile: 2*MR x NR from two adjacent A row panels (`a_panels`
-/// points at panel mp; panel mp+1 follows at a_panels + k*kGemmMR) and
-/// one B panel, 12 accumulator chains; each B vector feeds 12 rows per
-/// load. For a lone column panel: N <= 16, or the odd last panel of a
-/// block. Bitwise identical to two single-panel calls; `bias_row` (when
-/// used) must have 2*MR entries and `out` 2*MR writable rows.
-void micro_kernel_avx512_2x1(const float* a_panels, const float* b_panel,
-                             std::int64_t k, float* out, std::int64_t ldo,
-                             GemmEpilogue epilogue, const float* bias_row,
-                             const float* bias_col);
-
-/// Quad tile: 2*MR x 2*NR from two adjacent A row panels (laid out as
-/// for 2x1) and two adjacent B panels, 24 accumulator chains. Halves
-/// the per-flop packed-B traffic of the x2 kernel (each B vector now
-/// feeds 12 rows per load) at the same FMA-throughput bound. Same
-/// bitwise guarantee and tile requirements as x2 and 2x1.
-void micro_kernel_avx512_2x2(const float* a_panels, const float* b_panels,
-                             std::int64_t k, float* out, std::int64_t ldo,
-                             GemmEpilogue epilogue, const float* bias_row,
-                             const float* bias_col);
+/// gemm_kernel_avx512.cpp, span 2; only valid when cpuid reports
+/// AVX-512F.
+extern const MicroKernelTable kAvx512Kernels;
 #endif
+
+/// The table of the active SIMD tier (runtime::active_simd_level).
+const MicroKernelTable& select_micro_kernel();
 
 }  // namespace detail
 

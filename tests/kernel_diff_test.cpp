@@ -1085,14 +1085,16 @@ TEST(KernelDiffTest, TiledTransposedPackMatchesPanelLayout) {
   }
 }
 
-// The wide AVX-512 tiles (x2: 6x32, 2x1: 12x16, 2x2: 12x32) against
-// the equivalent sequence of single-tile calls, on hand-packed panels,
-// every epilogue (kAccumulate from a random C): grouping tiles into one
-// call must not change a single bit (each output element keeps its own
-// ascending-k chain). Skipped on hosts without AVX-512F.
-#if defined(DLB_HAVE_AVX512_BUILD)
+// Every tile shape of the active tier's kernel table (on AVX-512:
+// 6x32, 12x16 and 12x32) against the equivalent sequence of 6x16 calls
+// of the same table, on hand-packed panels, every epilogue
+// (kAccumulate from a random C): grouping tiles into one call must not
+// change a single bit (each output element keeps its own ascending-k
+// chain). Tiers of span 1 have only the 6x16 shape.
 TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
-  if (!runtime::cpu_features().avx512f) GTEST_SKIP() << "no AVX-512F host";
+  const detail::MicroKernelTable& table = detail::select_micro_kernel();
+  const detail::MicroKernelFn single = table.kernel[0][0];
+  ASSERT_NE(single, nullptr);
   util::Rng rng(1212);
   const Device serial = Device::cpu();
   for (const std::int64_t k : {1L, 7L, 64L, 129L}) {
@@ -1107,43 +1109,32 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
     std::vector<float> pb(static_cast<std::size_t>(2 * kGemmNR * k));
     pack_a_panels(a.raw(), k, 1, m, k, pa.data(), serial);
     pack_b_panels(b.raw(), n, 1, k, n, pb.data(), serial);
+    // Covers the 2 x 2 panels of C with tiles of rows x cols panels.
+    const auto run = [&](detail::MicroKernelFn kernel, std::int64_t rows,
+                         std::int64_t cols, GemmEpilogue ep) {
+      std::vector<float> c = start;
+      for (std::int64_t rp = 0; rp < 2; rp += rows)
+        for (std::int64_t cp = 0; cp < 2; cp += cols)
+          kernel(pa.data() + rp * k * kGemmMR, pb.data() + cp * k * kGemmNR,
+                 k, c.data() + rp * kGemmMR * n + cp * kGemmNR, n, ep,
+                 bias_row.raw() + rp * kGemmMR,
+                 bias_col.raw() + cp * kGemmNR);
+      return c;
+    };
     for (const GemmEpilogue ep : kAllEpilogues) {
-      // Reference: four single 6x16 tiles.
-      std::vector<float> want = start;
-      for (int rp = 0; rp < 2; ++rp)
-        for (int cp = 0; cp < 2; ++cp)
-          detail::micro_kernel_avx512(
-              pa.data() + rp * k * kGemmMR, pb.data() + cp * k * kGemmNR, k,
-              want.data() + rp * kGemmMR * n + cp * kGemmNR, n, ep,
-              bias_row.raw() + rp * kGemmMR, bias_col.raw() + cp * kGemmNR);
-      // x2: two 6x32 tiles.
-      std::vector<float> got = start;
-      for (int rp = 0; rp < 2; ++rp)
-        detail::micro_kernel_avx512_x2(
-            pa.data() + rp * k * kGemmMR, pb.data(), k,
-            got.data() + rp * kGemmMR * n, n, ep,
-            bias_row.raw() + rp * kGemmMR, bias_col.raw());
-      EXPECT_EQ(want, got) << "x2 tile k=" << k
-                           << " ep=" << static_cast<int>(ep);
-      // 2x1: two 12x16 tiles.
-      got = start;
-      for (int cp = 0; cp < 2; ++cp)
-        detail::micro_kernel_avx512_2x1(
-            pa.data(), pb.data() + cp * k * kGemmNR, k,
-            got.data() + cp * kGemmNR, n, ep, bias_row.raw(),
-            bias_col.raw() + cp * kGemmNR);
-      EXPECT_EQ(want, got) << "2x1 tile k=" << k
-                           << " ep=" << static_cast<int>(ep);
-      // 2x2: one 12x32 tile.
-      got = start;
-      detail::micro_kernel_avx512_2x2(pa.data(), pb.data(), k, got.data(), n,
-                                      ep, bias_row.raw(), bias_col.raw());
-      EXPECT_EQ(want, got) << "2x2 tile k=" << k
-                           << " ep=" << static_cast<int>(ep);
+      const std::vector<float> want = run(single, 1, 1, ep);
+      for (std::int64_t rows = 1; rows <= table.span; ++rows)
+        for (std::int64_t cols = 1; cols <= table.span; ++cols) {
+          const detail::MicroKernelFn kernel =
+              table.kernel[rows - 1][cols - 1];
+          ASSERT_NE(kernel, nullptr) << rows << "x" << cols;
+          EXPECT_EQ(want, run(kernel, rows, cols, ep))
+              << rows << "x" << cols << " tile k=" << k
+              << " ep=" << static_cast<int>(ep);
+        }
     }
   }
 }
-#endif  // DLB_HAVE_AVX512_BUILD
 
 }  // namespace
 }  // namespace dlbench::tensor
