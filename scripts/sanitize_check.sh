@@ -15,7 +15,9 @@
 # the lifetime machinery ASan exists for), and the data-parallel
 # training suite (label `ddp` — per-replica planners, shard gradient
 # slots and the shard-ordered reduce move tensors across a worker
-# pool every step).
+# pool every step), and the framework suites (label `frameworks` —
+# frameworks_test and integration_test train and evaluate every
+# emulation, freezing each model for the test pass).
 # For data races specifically, see tsan_check.sh.
 #
 # Usage: scripts/sanitize_check.sh [build-dir]   (default: build-asan)
@@ -32,4 +34,4 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDLBENCH_SANITIZE="$SANITIZERS"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'fault|gradcheck|serve|kernels|attack|chaos|fleet|plan|ddp' --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L 'fault|gradcheck|serve|kernels|attack|chaos|fleet|plan|ddp|frameworks' --output-on-failure -j "$(nproc)"

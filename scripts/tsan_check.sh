@@ -17,7 +17,9 @@
 # allocations), and the
 # data-parallel training suite (label `ddp` — K replicas race a shard
 # queue and fill per-shard gradient slots; its bitwise-identity tests
-# are exactly the claims a data race would silently falsify). ASan/UBSan
+# are exactly the claims a data race would silently falsify), and the
+# framework suites (label `frameworks` — training and the frozen test
+# pass on the parallel device's pool). ASan/UBSan
 # (sanitize_check.sh) cannot see data races; this is the suite that
 # would have caught a misordered stats commit or an unlocked histogram.
 #
@@ -34,5 +36,5 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDLBENCH_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'serve|trace|fault|kernels|attack|chaos|fleet|plan|ddp' --output-on-failure \
+ctest --test-dir "$BUILD_DIR" -L 'serve|trace|fault|kernels|attack|chaos|fleet|plan|ddp|frameworks' --output-on-failure \
   -j "$(nproc)"

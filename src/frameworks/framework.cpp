@@ -1,6 +1,7 @@
 #include "frameworks/framework.hpp"
 
 #include "frameworks/train_loop.hpp"
+#include "nn/frozen.hpp"
 #include "nn/plan.hpp"
 #include "runtime/trace.hpp"
 #include "util/env.hpp"
@@ -92,14 +93,10 @@ TrainResult Framework::train(nn::Sequential& model,
                                options, source);
 }
 
-EvalResult Framework::evaluate(nn::Sequential& model,
+EvalResult Framework::evaluate(const nn::Sequential& model,
                                const data::Dataset& test_set,
                                const Device& device) const {
   DLB_CHECK(test_set.size() > 0, "empty test set");
-  nn::Context ctx;
-  ctx.device = device;
-  ctx.training = false;
-
   util::Rng unused(0);
   data::DataLoader loader(test_set, eval_batch_size(), /*shuffle=*/false,
                           unused);
@@ -107,15 +104,11 @@ EvalResult Framework::evaluate(nn::Sequential& model,
   EvalResult result;
   {
     Span test_time(nullptr, nullptr, &result.test_time_s);
-    // Plans the full-size eval batch and (separately) the tail batch;
-    // prediction outputs are plain vectors, so everything tensor-shaped
-    // inside a batch extent dies with it.
-    nn::StepPlanner planner;
+    const nn::FrozenModel frozen = nn::FrozenModel::freeze(model);
     data::Batch batch;
     while (loader.next(batch)) {
       Span span("eval.batch", "eval");
-      auto plan_guard = planner.step(batch.size());
-      const auto predictions = model.predict(batch.images, ctx);
+      const auto predictions = frozen.predict(batch.images, device);
       for (std::size_t i = 0; i < predictions.size(); ++i)
         if (predictions[i] == batch.labels[i]) ++result.correct;
       result.total += batch.size();

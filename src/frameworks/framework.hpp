@@ -169,8 +169,12 @@ class Framework {
                     const TrainingConfig& config, const Device& device,
                     const TrainOptions& options) const;
 
-  /// Runs test-set evaluation; wall-clock measured inside.
-  EvalResult evaluate(nn::Sequential& model, const data::Dataset& test_set,
+  /// Runs test-set evaluation: freezes `model` once (nn::FrozenModel)
+  /// and classifies each eval batch with the frozen forward on
+  /// `device`. test_time_s covers the freeze and every batch, the way
+  /// training time covers prepare().
+  EvalResult evaluate(const nn::Sequential& model,
+                      const data::Dataset& test_set,
                       const Device& device) const;
 };
 

@@ -82,7 +82,8 @@ class Sequential {
   void zero_grads();
   std::int64_t num_params();
 
-  /// Predicted class per row.
+  /// Predicted class per row. The library's inference runs
+  /// nn::FrozenModel; this is the reference tests and perfbench compare.
   std::vector<std::int64_t> predict(const Tensor& x, const Context& ctx);
 
   /// Multi-line structural description.

@@ -3,7 +3,7 @@
 // Step-scoped tensor memory arenas — the storage layer under the
 // execution-plan compiler (nn/plan.hpp, DESIGN.md §15).
 //
-// The hot loops of this codebase (train step, eval batch, serve
+// The hot loops of this codebase (train step, data-parallel shard, serve
 // forward) allocate the same sequence of activation/gradient tensors
 // every iteration: the shapes are a pure function of (model, batch
 // shape). This module turns that observation into zero steady-state

@@ -15,6 +15,7 @@
 #include "frameworks/registry.hpp"
 #include "nn/conv_direct.hpp"
 #include "nn/layers.hpp"
+#include "tensor/arena.hpp"
 
 namespace dlbench::frameworks {
 namespace {
@@ -291,6 +292,65 @@ TEST(Training, DeterministicAcrossRuns) {
   auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// evaluate classifies through one frozen snapshot of the model, the
+// same inference path serving and attack screening run: for each of
+// the six default nets on cpu and on 2 workers, its correct count
+// equals Sequential::predict's over the same batches, and it maps no
+// plan arena. Each test set spans four full eval batches plus a tail,
+// so a per-batch planner would have replayed (from batch 4 on).
+TEST(Evaluate, RunsTheFrozenModelWithoutAPlanArena) {
+  using tensor::arena::Event;
+  for (const FrameworkKind kind : kAllFrameworks) {
+    auto fw = make_framework(kind);
+    const std::int64_t test_samples = 4 * fw->eval_batch_size() + 1;
+    for (const DatasetId dataset : {DatasetId::kMnist, DatasetId::kCifar10}) {
+      data::DatasetPair data;
+      if (dataset == DatasetId::kMnist) {
+        data::MnistOptions d;
+        d.train_samples = 10;
+        d.test_samples = test_samples;
+        data = data::synthetic_mnist(d);
+      } else {
+        data::CifarOptions d;
+        d.train_samples = 10;
+        d.test_samples = test_samples;
+        data = data::synthetic_cifar10(d);
+      }
+      const nn::NetworkSpec spec = default_network_spec(kind, dataset);
+      for (const Device& dev : {Device::cpu(), Device::parallel(2)}) {
+        SCOPED_TRACE(std::string(to_string(kind)) + "/" +
+                     to_string(dataset) + " workers=" +
+                     std::to_string(dev.workers()));
+        util::Rng rng(11);
+        nn::Sequential model = fw->build_model(spec, dev, rng);
+
+        nn::Context ctx;
+        ctx.device = dev;
+        ctx.training = false;
+        data::DataLoader loader(data.test, fw->eval_batch_size(),
+                                /*shuffle=*/false, util::Rng(0));
+        std::int64_t want_correct = 0;
+        data::Batch batch;
+        while (loader.next(batch)) {
+          const auto predictions = model.predict(batch.images, ctx);
+          for (std::size_t i = 0; i < predictions.size(); ++i)
+            if (predictions[i] == batch.labels[i]) ++want_correct;
+        }
+
+        const std::int64_t replays = tensor::arena::total(Event::kPlanReplays);
+        const std::int64_t arena_allocs =
+            tensor::arena::total(Event::kArenaAllocs);
+        const nn::Sequential& trained = model;
+        const EvalResult eval = fw->evaluate(trained, data.test, dev);
+        EXPECT_EQ(eval.total, test_samples);
+        EXPECT_EQ(eval.correct, want_correct);
+        EXPECT_EQ(tensor::arena::total(Event::kPlanReplays), replays);
+        EXPECT_EQ(tensor::arena::total(Event::kArenaAllocs), arena_allocs);
+      }
+    }
+  }
 }
 
 // Every kernel a training step runs (conv forward/backward including
